@@ -196,7 +196,7 @@ struct JournalOverheadReport {
     /// Journal records written per campaign (each costs serde + append +
     /// fsync).
     chunks: usize,
-    /// Best-of-N wall time of the inert (non-journaled) campaign.
+    /// Best-of-N wall time of the in-memory (non-journaled) campaign.
     plain_seconds: f64,
     /// Best-of-N wall time journaling to a fresh directory (every chunk
     /// executes and is appended — the worst case; resumes only get cheaper).
@@ -204,7 +204,7 @@ struct JournalOverheadReport {
     /// Overhead of journaling (ratio of the two best-of-N times), gated at
     /// [`JOURNAL_OVERHEAD_CEILING_PCT`].
     journal_overhead_pct: f64,
-    /// The inert and journaled campaigns serialize byte-identically —
+    /// The in-memory and journaled campaigns serialize byte-identically —
     /// durability must never change results.
     reports_identical: bool,
 }
@@ -864,8 +864,8 @@ fn bench_opt() -> OptReport {
     }
 }
 
-/// A/B comparison: the same seeded fault campaign run inert (the legacy
-/// in-memory path) vs journaled to a fresh directory, where every chunk is
+/// A/B comparison: the same seeded fault campaign run in memory (no
+/// journal directory) vs journaled to a fresh directory, where every chunk is
 /// executed and appended (the worst case for journal cost — a resume only
 /// replays). Interleaved pairs with alternating order, like the trace and
 /// fault benchmarks, and a byte-identity cross-check on the two reports.
@@ -887,7 +887,7 @@ fn bench_journal_overhead() -> JournalOverheadReport {
         lanes: 4,
         ..CampaignConfig::default()
     };
-    let inert = DurabilityOptions::default();
+    let in_memory = DurabilityOptions::default();
     let dir = std::env::temp_dir().join(format!("tl_perfgate_journal_{}", std::process::id()));
     let journaled_opts = DurabilityOptions {
         dir: Some(dir.clone()),
@@ -896,7 +896,7 @@ fn bench_journal_overhead() -> JournalOverheadReport {
     };
     let run_plain = || {
         let t = Instant::now();
-        let (report, _) = run_gemm_campaign_durable(&cfg, &inert).expect("plain campaign");
+        let (report, _) = run_gemm_campaign_durable(&cfg, &in_memory).expect("plain campaign");
         (t.elapsed().as_secs_f64(), report)
     };
     let run_journaled = || {
@@ -1335,7 +1335,7 @@ fn main() {
 
     if !report.journal.reports_identical {
         eprintln!(
-            "FAIL: journaled campaign report diverged from the inert campaign's \
+            "FAIL: journaled campaign report diverged from the in-memory campaign's \
              (durability must never change results)"
         );
         std::process::exit(1);

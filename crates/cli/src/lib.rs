@@ -1082,7 +1082,7 @@ fn provenance_for(command_echo: &str, seeds: Vec<u64>, workers: usize, total_us:
 }
 
 /// Builds campaign durability options from the shared `--resume` /
-/// `--chunk-timeout` flags. Both absent means the inert legacy path.
+/// `--chunk-timeout` flags. Both absent means an in-memory run.
 fn durability_from(resume: &Option<String>, chunk_timeout: Option<u64>) -> DurabilityOptions {
     DurabilityOptions {
         dir: resume.as_ref().map(PathBuf::from),
@@ -2229,14 +2229,23 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 "total_us",
                 "mean_us",
             );
-            for (phase, (count, total_us)) in session.phase_totals().into_iter().take(top.max(1)) {
+            // Heaviest phases first (ties by name), so `--top` keeps the
+            // phases that dominate the wall time.
+            let mut phases: Vec<(String, (u64, u64))> =
+                session.phase_totals().into_iter().collect();
+            phases.sort_by(|(a, (_, ta)), (b, (_, tb))| tb.cmp(ta).then_with(|| a.cmp(b)));
+            let shown = top.max(1).min(phases.len());
+            for (phase, (count, total_us)) in &phases[..shown] {
                 table.push_str(&format!(
                     "{:<28} {:>8} {:>12} {:>10}\n",
                     phase,
                     count,
                     total_us,
-                    total_us / count.max(1),
+                    total_us / (*count).max(1),
                 ));
+            }
+            if shown < phases.len() {
+                table.push_str(&format!("… and {} more phases\n", phases.len() - shown));
             }
             for (name, value) in &session.metrics.counters {
                 table.push_str(&format!("counter {name} = {value}\n"));
@@ -3070,7 +3079,7 @@ mod tests {
     }
 
     #[test]
-    fn run_faults_journaled_report_matches_legacy_body() {
+    fn run_faults_journaled_report_matches_in_memory_body() {
         let dir = std::env::temp_dir().join(format!("tl_cli_journal_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let journaled = run(Command::Faults {
@@ -3089,16 +3098,16 @@ mod tests {
             out: "-".into(),
         })
         .unwrap();
-        let legacy = run(faults_cmd("full", 6, "-")).unwrap();
+        let in_memory = run(faults_cmd("full", 6, "-")).unwrap();
         // The campaign body (config + report) is byte-identical; only the
         // provenance journal block and wall times differ.
         let body_of = |doc: &str| {
             let v = tensorlib_obs::json::parse(doc).unwrap();
             format!("{:?}|{:?}", v.get("config"), v.get("report"))
         };
-        assert_eq!(body_of(&journaled), body_of(&legacy));
+        assert_eq!(body_of(&journaled), body_of(&in_memory));
         assert!(journaled.contains("\"chunks_executed\""), "{journaled}");
-        assert!(legacy.contains("\"journal\": null"), "{legacy}");
+        assert!(in_memory.contains("\"journal\": null"), "{in_memory}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,7 +1,7 @@
 //! Design-space exploration: sweep every dataflow, score each design.
 
+use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::Serialize;
 use tensorlib_cost::{asic_cost, Activity, AsicReport};
@@ -10,11 +10,10 @@ use tensorlib_dataflow::Dataflow;
 use tensorlib_hw::design::{generate, HwConfig};
 use tensorlib_hw::fault::Hardening;
 use tensorlib_ir::Kernel;
-use tensorlib_linalg::par::{
-    panic_message, par_map_catch, par_map_catch_ctl, CatchOutcome, MapControl,
-};
 use tensorlib_obs::json::Value;
-use tensorlib_sim::journal::{self, DurabilityOptions, JournalError, RunStats};
+use tensorlib_sim::journal::{
+    self, ChunkSpec, DurabilityOptions, ItemOutcome, JournalError, RunStats,
+};
 use tensorlib_sim::{functional, perf, SimConfig, SimError, SimReport};
 
 /// One scored point of the design space.
@@ -69,11 +68,6 @@ pub struct ExploreOptions {
     /// resilience shows up as explicit points (with their priced overhead)
     /// in the Figure 6-style scatter.
     pub hardening_variants: Vec<Hardening>,
-    /// Test-only chaos hook: candidates whose dataflow name is listed here
-    /// panic during scoring, exercising the per-point panic isolation. Leave
-    /// empty in real sweeps.
-    #[doc(hidden)]
-    pub chaos_panic_names: Vec<String>,
 }
 
 impl Default for ExploreOptions {
@@ -87,7 +81,6 @@ impl Default for ExploreOptions {
             cycle_budget: Some(1_000_000_000),
             functional_verify: false,
             hardening_variants: Vec::new(),
-            chaos_panic_names: Vec::new(),
         }
     }
 }
@@ -193,69 +186,106 @@ pub fn explore(kernel: &Kernel, opts: &ExploreOptions) -> Vec<DesignPoint> {
 /// either in `points`, in `errors` (typed — panic, budget, functional), or
 /// in the `skipped` count. A panicking or budget-blowing candidate never
 /// takes the sweep down and never steals another candidate's slot: scoring
-/// runs under per-point panic isolation
-/// ([`tensorlib_linalg::par::par_map_catch`]) and both `points` and `errors`
-/// are byte-identical for any worker count.
+/// runs under the campaign policy's per-point panic isolation (the scorer
+/// [`explore_durable`] uses too) and both `points` and `errors` are
+/// byte-identical for any worker count.
 pub fn explore_outcome(kernel: &Kernel, opts: &ExploreOptions) -> ExploreOutcome {
     let _span = tensorlib_obs::span("explore");
     let candidates = design_space(kernel, &opts.dse);
-    // An empty variant list means "whatever the base config carries";
-    // otherwise every candidate is scored once per hardening variant.
-    let variants: Vec<Hardening> = if opts.hardening_variants.is_empty() {
-        vec![opts.hw.hardening]
-    } else {
-        opts.hardening_variants.clone()
-    };
-    let jobs: Vec<(&Dataflow, Hardening)> = candidates
-        .iter()
-        .flat_map(|df| variants.iter().map(move |&h| (df, h)))
-        .collect();
-    // Scoring a candidate (hardware generation + cycle model + cost model)
-    // is orders of magnitude heavier than the queue bookkeeping, so small
-    // chunks keep the pool balanced.
+    let jobs = explore_jobs(&candidates, opts);
     tensorlib_obs::counter_add("explore.jobs", jobs.len() as u64);
-    let scored = par_map_catch(&jobs, opts.workers, 4, |_, &(df, h)| {
-        let _point_span = tensorlib_obs::span("explore.point");
-        let t0 = tensorlib_obs::is_enabled().then(tensorlib_obs::now_micros);
-        let result = score(kernel, opts, df, h);
-        if let Some(t0) = t0 {
-            tensorlib_obs::hist_record(
-                "explore.point_us",
-                tensorlib_obs::now_micros().saturating_sub(t0),
-            );
-        }
-        result
-    });
-    let mut points = Vec::new();
-    let mut errors = Vec::new();
-    let mut skipped = 0usize;
-    for (result, (df, h)) in scored.into_iter().zip(&jobs) {
-        match result {
-            Ok(Some(Ok(point))) => points.push(point),
-            Ok(Some(Err(e))) => errors.push(e),
-            Ok(None) => skipped += 1,
-            Err(message) => errors.push(PointError::Panicked {
-                name: point_name(df, *h),
-                message,
-            }),
-        }
-    }
-    tensorlib_obs::counter_add("explore.points", points.len() as u64);
-    tensorlib_obs::counter_add("explore.errors", errors.len() as u64);
-    tensorlib_obs::counter_add("explore.skipped", skipped as u64);
-    // `scored` is in enumeration order, so this stable sort reproduces the
+    // One pass over every job rather than 32-candidate chunks: nothing is
+    // journaled here, and a single parallel map keeps every worker busy to
+    // the end of the sweep. Without a chunk timeout nothing is degraded.
+    let (mut outcome, _) = score_jobs(kernel, opts, &jobs, &DurabilityOptions::default());
+    tensorlib_obs::counter_add("explore.points", outcome.points.len() as u64);
+    tensorlib_obs::counter_add("explore.errors", outcome.errors.len() as u64);
+    tensorlib_obs::counter_add("explore.skipped", outcome.skipped as u64);
+    // `points` is in enumeration order, so this stable sort reproduces the
     // serial implementation's output exactly, ties and all.
-    points.sort_by(|a, b| {
+    outcome.points.sort_by(|a, b| {
         a.performance
             .total_cycles
             .cmp(&b.performance.total_cycles)
             .then_with(|| a.name.cmp(&b.name))
     });
-    ExploreOutcome {
-        points,
-        errors,
-        skipped,
+    outcome
+}
+
+/// Every (candidate, hardening variant) job of a sweep, in enumeration
+/// order. An empty variant list means "whatever the base config carries";
+/// otherwise every candidate is scored once per hardening variant.
+fn explore_jobs<'a>(
+    candidates: &'a [Dataflow],
+    opts: &ExploreOptions,
+) -> Vec<(&'a Dataflow, Hardening)> {
+    let variants: Vec<Hardening> = if opts.hardening_variants.is_empty() {
+        vec![opts.hw.hardening]
+    } else {
+        opts.hardening_variants.clone()
+    };
+    candidates
+        .iter()
+        .flat_map(|df| variants.iter().map(move |&h| (df, h)))
+        .collect()
+}
+
+/// The one scorer behind [`explore_outcome`] and [`explore_durable`]: runs
+/// [`score`] over `jobs` under the campaign policy of
+/// [`tensorlib_sim::journal::run_items`] (watchdog, bounded serial retry,
+/// panic quarantine, chaos hook). Returns the jobs split by fate, each list
+/// in enumeration order for any worker count (`points` unsorted), plus the
+/// count of jobs the chunk watchdog demoted before they started.
+fn score_jobs(
+    kernel: &Kernel,
+    opts: &ExploreOptions,
+    jobs: &[(&Dataflow, Hardening)],
+    durability: &DurabilityOptions,
+) -> (ExploreOutcome, u64) {
+    // Scoring a candidate (hardware generation + cycle model + cost model)
+    // is orders of magnitude heavier than the queue bookkeeping, so workers
+    // take one job at a time: a 32-job sweep chunk then ends with at most
+    // one job still running while the other workers wait.
+    let outcomes = journal::run_items(
+        jobs,
+        opts.workers,
+        1,
+        durability,
+        |&(df, h)| vec![point_name(df, h)],
+        |&(df, h)| {
+            let _point_span = tensorlib_obs::span("explore.point");
+            let t0 = tensorlib_obs::is_enabled().then(tensorlib_obs::now_micros);
+            let result = score(kernel, opts, df, h);
+            if let Some(t0) = t0 {
+                tensorlib_obs::hist_record(
+                    "explore.point_us",
+                    tensorlib_obs::now_micros().saturating_sub(t0),
+                );
+            }
+            result
+        },
+    );
+    let mut out = ExploreOutcome {
+        points: Vec::new(),
+        errors: Vec::new(),
+        skipped: 0,
+    };
+    let mut degraded = 0;
+    for (o, &(df, h)) in outcomes.into_iter().zip(jobs) {
+        match o {
+            ItemOutcome::Done(Some(Ok(point))) => out.points.push(point),
+            ItemOutcome::Done(Some(Err(e))) => out.errors.push(e),
+            ItemOutcome::Done(None) => out.skipped += 1,
+            ItemOutcome::Degraded => degraded += 1,
+            ItemOutcome::Quarantined { attempts, message } => {
+                out.errors.push(PointError::Panicked {
+                    name: point_name(df, h),
+                    message: journal::quarantine_detail(attempts, message),
+                })
+            }
+        }
     }
+    (out, degraded)
 }
 
 /// The display name of one (dataflow, hardening) design point.
@@ -272,9 +302,6 @@ fn score(
     df: &Dataflow,
     hardening: Hardening,
 ) -> Option<Result<DesignPoint, PointError>> {
-    if opts.chaos_panic_names.iter().any(|n| *n == df.name()) {
-        panic!("chaos hook tripped for {}", df.name());
-    }
     let hw = HwConfig {
         hardening,
         ..opts.hw
@@ -347,11 +374,11 @@ pub fn pareto_power_area(points: &[DesignPoint]) -> Vec<&DesignPoint> {
 }
 
 // ---------------------------------------------------------------------------
-// Durable (journaled) sweeps
+// Chunked (journaled or in-memory) sweeps
 // ---------------------------------------------------------------------------
 
 /// One scored design point, reduced to the fields a sweep report plots.
-/// This is what durable sweeps journal per candidate: unlike
+/// This is what chunked sweeps journal per candidate: unlike
 /// [`DesignPoint`] it round-trips losslessly through the replay decoder, and
 /// it is all the Figure 6-style scatter needs.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -383,9 +410,11 @@ impl ExploreRow {
     }
 }
 
-/// A durable sweep's full accounting: reduced rows plus typed failures,
+/// A chunked sweep's full accounting: reduced rows plus typed failures,
 /// demotions, and skips. Byte-stable for a given kernel and options
-/// regardless of worker count, chunking, or crash/resume history.
+/// regardless of worker count, chunking, or crash/resume history. Each
+/// journal chunk's result is one of these over the chunk's candidates,
+/// with rows still in enumeration order.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExploreSweepReport {
     /// Scored candidates, sorted by total cycles (fastest first, ties by
@@ -399,93 +428,21 @@ pub struct ExploreSweepReport {
     pub degraded: u64,
 }
 
-impl ExploreSweepReport {
-    fn from_outcome(o: ExploreOutcome) -> ExploreSweepReport {
-        ExploreSweepReport {
-            rows: o.points.iter().map(ExploreRow::from_point).collect(),
-            errors: o.errors,
-            skipped: o.skipped as u64,
-            degraded: 0,
-        }
-    }
-}
-
-/// One journal chunk's worth of sweep results, in enumeration order.
-#[derive(Serialize)]
-struct ExploreChunk {
-    rows: Vec<ExploreRow>,
-    errors: Vec<PointError>,
-    skipped: u64,
-    degraded: u64,
-}
-
-/// Scores `jobs` under the durability policy: chunk-wide watchdog deadline
-/// (late candidates demote to `degraded`), bounded serial retries for
-/// panicking candidates before the panic is quarantined as a typed
-/// [`PointError::Panicked`], and the chaos hook for fault-injection tests.
+/// Scores one chunk of jobs with the shared scorer, reducing each point to
+/// its [`ExploreRow`].
 fn run_explore_chunk(
     kernel: &Kernel,
     opts: &ExploreOptions,
     jobs: &[(&Dataflow, Hardening)],
     durability: &DurabilityOptions,
-) -> ExploreChunk {
-    let ctl = MapControl {
-        deadline: durability.chunk_deadline(),
-        cancel: None,
-    };
-    let run_job = |df: &Dataflow, h: Hardening| {
-        durability.chaos_check(&point_name(df, h));
-        score(kernel, opts, df, h)
-    };
-    let scored = par_map_catch_ctl(jobs, opts.workers, 4, ctl, |_, &(df, h)| run_job(df, h));
-    let mut out = ExploreChunk {
-        rows: Vec::new(),
-        errors: Vec::new(),
-        skipped: 0,
-        degraded: 0,
-    };
-    for (r, &(df, h)) in scored.into_iter().zip(jobs) {
-        let resolved = match r {
-            CatchOutcome::Skipped => {
-                out.degraded += 1;
-                continue;
-            }
-            CatchOutcome::Done(x) => Some(x),
-            CatchOutcome::Panicked(first) => {
-                let attempts = durability.panic_attempts();
-                let mut msg = first;
-                let mut retried = None;
-                for _ in 1..attempts {
-                    match catch_unwind(AssertUnwindSafe(|| run_job(df, h))) {
-                        Ok(x) => {
-                            retried = Some(x);
-                            break;
-                        }
-                        Err(payload) => msg = panic_message(payload),
-                    }
-                }
-                if retried.is_none() {
-                    let message = if attempts > 1 {
-                        format!("quarantined after {attempts} attempts: {msg}")
-                    } else {
-                        msg
-                    };
-                    out.errors.push(PointError::Panicked {
-                        name: point_name(df, h),
-                        message,
-                    });
-                }
-                retried
-            }
-        };
-        match resolved {
-            Some(Some(Ok(point))) => out.rows.push(ExploreRow::from_point(&point)),
-            Some(Some(Err(e))) => out.errors.push(e),
-            Some(None) => out.skipped += 1,
-            None => {}
-        }
+) -> ExploreSweepReport {
+    let (scored, degraded) = score_jobs(kernel, opts, jobs, durability);
+    ExploreSweepReport {
+        rows: scored.points.iter().map(ExploreRow::from_point).collect(),
+        errors: scored.errors,
+        skipped: scored.skipped as u64,
+        degraded,
     }
-    out
 }
 
 fn decode_row(v: &Value) -> Result<ExploreRow, String> {
@@ -525,77 +482,74 @@ fn decode_point_error(v: &Value) -> Result<PointError, String> {
 }
 
 /// Decodes one journaled chunk payload. Inverse of
-/// `serde_json::to_string(&ExploreChunk)`.
-fn decode_explore_chunk(payload: &str) -> Result<(Vec<ExploreRow>, Vec<PointError>, u64, u64), String> {
+/// `serde_json::to_string(&ExploreSweepReport)`.
+fn decode_explore_chunk(payload: &str) -> Result<ExploreSweepReport, String> {
     let doc = tensorlib_obs::json::parse(payload)?;
-    Ok((
-        journal::field_array(&doc, "rows")?
+    Ok(ExploreSweepReport {
+        rows: journal::field_array(&doc, "rows")?
             .iter()
             .map(decode_row)
             .collect::<Result<Vec<ExploreRow>, String>>()?,
-        journal::field_array(&doc, "errors")?
+        errors: journal::field_array(&doc, "errors")?
             .iter()
             .map(decode_point_error)
             .collect::<Result<Vec<PointError>, String>>()?,
-        journal::field_u64(&doc, "skipped")?,
-        journal::field_u64(&doc, "degraded")?,
-    ))
+        skipped: journal::field_u64(&doc, "skipped")?,
+        degraded: journal::field_u64(&doc, "degraded")?,
+    })
 }
 
 /// Canonical config string for journal keying: the kernel and every option
 /// that shapes the result, with the worker count zeroed (resuming with a
-/// different `--workers` is legal — sweeps are worker-count-independent)
-/// and the test-only chaos hook excluded.
+/// different `--workers` is legal — sweeps are worker-count-independent).
 fn canonical_explore_config(kernel: &Kernel, opts: &ExploreOptions, jobs: usize) -> String {
-    let canon = ExploreOptions {
-        workers: 0,
-        chaos_panic_names: Vec::new(),
-        ..opts.clone()
+    let canon = format!(
+        "{:?}",
+        ExploreOptions {
+            workers: 0,
+            ..opts.clone()
+        }
+    );
+    // Existing journals were keyed with a since-removed, always-empty
+    // `chaos_panic_names` field last in the options; keep it in the string
+    // so their config hashes still match.
+    let canon = match canon.strip_suffix(" }") {
+        Some(fields) => format!("{fields}, chaos_panic_names: [] }}"),
+        None => canon,
     };
-    format!("{kernel:?}|{canon:?}|jobs={jobs}")
+    format!("{kernel:?}|{canon}|jobs={jobs}")
 }
 
-/// Telemetry outcome counter for one explore chunk payload: scored designs,
-/// point errors (with the `panicked` subset), skipped candidates, and
-/// degraded (watchdog-demoted) candidates. Tolerant by design — telemetry
-/// is best-effort, so an undecodable payload counts as nothing (replay
-/// decoding is where strictness lives).
-fn count_explore_outcomes(payload: &str) -> std::collections::BTreeMap<String, u64> {
-    let mut counts = std::collections::BTreeMap::new();
-    let Ok(doc) = tensorlib_obs::json::parse(payload) else {
-        return counts;
-    };
-    if let Some(rows) = doc.get("rows").and_then(Value::as_array) {
-        *counts.entry("designs".to_string()).or_insert(0) += rows.len() as u64;
-    }
-    if let Some(errors) = doc.get("errors").and_then(Value::as_array) {
-        *counts.entry("errors".to_string()).or_insert(0) += errors.len() as u64;
-        let panicked = errors
-            .iter()
-            .filter(|e| e.get("Panicked").is_some())
-            .count() as u64;
-        if panicked > 0 {
-            *counts.entry("panicked".to_string()).or_insert(0) += panicked;
-        }
-    }
-    for key in ["skipped", "degraded"] {
-        if let Some(n) = doc.get(key).and_then(Value::as_u64) {
-            *counts.entry(key.to_string()).or_insert(0) += n;
-        }
+/// Telemetry outcome counter for one explore chunk: scored designs, point
+/// errors (with the `panicked` subset), skipped candidates, and degraded
+/// (watchdog-demoted) candidates.
+fn count_explore_outcomes(chunk: &ExploreSweepReport) -> BTreeMap<String, u64> {
+    let mut counts = BTreeMap::from([
+        ("designs".to_string(), chunk.rows.len() as u64),
+        ("errors".to_string(), chunk.errors.len() as u64),
+        ("skipped".to_string(), chunk.skipped),
+        ("degraded".to_string(), chunk.degraded),
+    ]);
+    let panicked = chunk
+        .errors
+        .iter()
+        .filter(|e| matches!(e, PointError::Panicked { .. }))
+        .count() as u64;
+    if panicked > 0 {
+        counts.insert("panicked".to_string(), panicked);
     }
     counts
 }
 
-/// [`explore_outcome`] with campaign durability: the enumerated candidate
-/// list is split into deterministic chunks, completed chunks are journaled
-/// to `durability.dir` (when set) and replayed on resume, the per-chunk
-/// watchdog demotes late candidates to the `degraded` tally, panicking
-/// candidates are retried then quarantined as [`PointError::Panicked`], and
-/// an interrupt drains the in-flight chunk before returning a partial (but
-/// valid and resumable) report with `stats.interrupted` set.
-///
-/// With inert options this scores exactly like [`explore_outcome`], reduced
-/// to [`ExploreRow`]s.
+/// [`explore_outcome`] through the chunked campaign runner: the enumerated
+/// candidate list is split into deterministic 32-candidate chunks,
+/// completed chunks are journaled to `durability.dir` (when set) and
+/// replayed on resume, the per-chunk watchdog demotes late candidates to
+/// the `degraded` tally, panicking candidates are retried then quarantined
+/// as [`PointError::Panicked`], and an interrupt drains the in-flight chunk
+/// before returning a partial (but valid and resumable) report with
+/// `stats.interrupted` set. Points are reduced to [`ExploreRow`]s; rows,
+/// errors and skips match [`explore_outcome`]'s for any chunk size.
 ///
 /// # Errors
 ///
@@ -606,23 +560,9 @@ pub fn explore_durable(
     opts: &ExploreOptions,
     durability: &DurabilityOptions,
 ) -> Result<(ExploreSweepReport, RunStats), JournalError> {
-    if durability.is_inert() {
-        return Ok((
-            ExploreSweepReport::from_outcome(explore_outcome(kernel, opts)),
-            RunStats::default(),
-        ));
-    }
     let _span = tensorlib_obs::span("explore.durable");
     let candidates = design_space(kernel, &opts.dse);
-    let variants: Vec<Hardening> = if opts.hardening_variants.is_empty() {
-        vec![opts.hw.hardening]
-    } else {
-        opts.hardening_variants.clone()
-    };
-    let jobs: Vec<(&Dataflow, Hardening)> = candidates
-        .iter()
-        .flat_map(|df| variants.iter().map(move |&h| (df, h)))
-        .collect();
+    let jobs = explore_jobs(&candidates, opts);
     let chunk_size = durability.chunk_size.unwrap_or(32).max(1);
     let total = jobs.len().div_ceil(chunk_size);
     let hash = journal::config_hash(
@@ -631,36 +571,30 @@ pub fn explore_durable(
         total,
         &canonical_explore_config(kernel, opts, jobs.len()),
     );
-    let telemetry = journal::TelemetrySpec {
+    let spec = ChunkSpec {
         kind: "explore",
+        decode: &decode_explore_chunk,
         count_outcomes: &count_explore_outcomes,
     };
-    let (slots, stats) =
-        journal::run_chunked_observed(durability, hash, total, Some(&telemetry), |i| {
-            let lo = i * chunk_size;
-            let hi = (lo + chunk_size).min(jobs.len());
-            let chunk = run_explore_chunk(kernel, opts, &jobs[lo..hi], durability);
-            serde_json::to_string(&chunk).expect("explore chunk serializes")
-        })?;
+    let (chunks, stats) = journal::run_chunked(durability, hash, total, &spec, |i| {
+        let lo = i * chunk_size;
+        let hi = (lo + chunk_size).min(jobs.len());
+        run_explore_chunk(kernel, opts, &jobs[lo..hi], durability)
+    })?;
     let mut report = ExploreSweepReport {
         rows: Vec::new(),
         errors: Vec::new(),
         skipped: 0,
         degraded: 0,
     };
-    for slot in &slots {
-        // Completed chunks are always a prefix (the executor runs missing
-        // chunks in ascending order), so the first hole ends the report.
-        let Some(payload) = slot else { break };
-        let (rows, errors, skipped, degraded) =
-            decode_explore_chunk(payload).map_err(JournalError::Decode)?;
-        report.rows.extend(rows);
-        report.errors.extend(errors);
-        report.skipped += skipped;
-        report.degraded += degraded;
+    for chunk in chunks {
+        report.rows.extend(chunk.rows);
+        report.errors.extend(chunk.errors);
+        report.skipped += chunk.skipped;
+        report.degraded += chunk.degraded;
     }
     // Chunks concatenate in enumeration order; this stable sort reproduces
-    // the legacy sweep's fastest-first ordering exactly, ties and all.
+    // `explore_outcome`'s fastest-first ordering exactly, ties and all.
     report
         .rows
         .sort_by(|a, b| a.total_cycles.cmp(&b.total_cycles).then_with(|| a.name.cmp(&b.name)));
@@ -746,25 +680,56 @@ mod tests {
         d
     }
 
+    /// [`explore_outcome`]'s result reduced the way sweep reports are.
+    fn reduce(o: ExploreOutcome) -> ExploreSweepReport {
+        ExploreSweepReport {
+            rows: o.points.iter().map(ExploreRow::from_point).collect(),
+            errors: o.errors,
+            skipped: o.skipped as u64,
+            degraded: 0,
+        }
+    }
+
     #[test]
-    fn durable_inert_path_matches_legacy_reduction() {
+    fn chunk_geometry_does_not_change_the_sweep() {
         let k = workloads::gemm(16, 16, 16);
         let opts = ExploreOptions::default();
-        let legacy = ExploreSweepReport::from_outcome(explore_outcome(&k, &opts));
-        let (durable, stats) = explore_durable(&k, &opts, &DurabilityOptions::default()).unwrap();
-        assert_eq!(durable, legacy);
-        assert_eq!(stats, RunStats::default());
-        assert!(!durable.rows.is_empty());
+        let single = serde_json::to_string(&reduce(explore_outcome(&k, &opts))).unwrap();
+        for chunk_size in [Some(1), Some(7), None] {
+            let durability = DurabilityOptions {
+                chunk_size,
+                ..DurabilityOptions::default()
+            };
+            let (report, stats) = explore_durable(&k, &opts, &durability).unwrap();
+            assert!(!report.rows.is_empty());
+            assert_eq!(
+                serde_json::to_string(&report).unwrap(),
+                single,
+                "{chunk_size:?}"
+            );
+            // An in-memory run executes every chunk and replays none.
+            assert_eq!(stats.chunks_executed, stats.chunks_total, "{chunk_size:?}");
+            assert_eq!(stats.chunks_replayed, 0, "{chunk_size:?}");
+        }
+    }
+
+    #[test]
+    fn config_hash_matches_existing_journals() {
+        // The hash `explore gemm:16,16,8 --resume` journals carry in their
+        // header; a change here orphans every such journal.
+        let k = workloads::gemm(16, 16, 8);
+        let canon = canonical_explore_config(&k, &ExploreOptions::default(), 870);
+        assert_eq!(
+            journal::config_hash("explore", 32, 28, &canon),
+            0x04f2_1a83_a4d7_79a5
+        );
     }
 
     #[test]
     fn durable_journaled_resume_is_byte_identical() {
         let k = workloads::gemm(16, 16, 16);
         let opts = ExploreOptions::default();
-        let single = serde_json::to_string(&ExploreSweepReport::from_outcome(explore_outcome(
-            &k, &opts,
-        )))
-        .unwrap();
+        let single = serde_json::to_string(&reduce(explore_outcome(&k, &opts))).unwrap();
         let dir = tmpdir("resume");
         let durability = DurabilityOptions {
             chunk_size: Some(25),
@@ -807,7 +772,7 @@ mod tests {
     fn durable_panicking_candidate_is_quarantined() {
         let k = workloads::gemm(16, 16, 16);
         let opts = ExploreOptions::default();
-        let clean = ExploreSweepReport::from_outcome(explore_outcome(&k, &opts));
+        let clean = reduce(explore_outcome(&k, &opts));
         let victim = clean.rows[0].name.clone();
         let durability = DurabilityOptions {
             panic_retries: 1,

@@ -230,15 +230,20 @@ mod tests {
             interrupt: Some(flag),
             ..crate::DurabilityOptions::default()
         };
+        let spec = crate::journal::ChunkSpec {
+            kind: "faults",
+            decode: &|_| Err("nothing replays without a journal".to_string()),
+            count_outcomes: &|_: &u64| Default::default(),
+        };
         let mut executed = 0usize;
-        let (slots, stats) = crate::journal::run_chunked(&opts, 0xfeed, 3, |_| {
+        let (chunks, stats) = crate::journal::run_chunked(&opts, 0xfeed, 3, &spec, |_| {
             executed += 1;
-            "unreachable".to_string()
+            0u64
         })
         .unwrap();
         assert_eq!(executed, 0);
         assert!(stats.interrupted);
         assert_eq!(stats.chunks_executed, 0);
-        assert!(slots.iter().all(Option::is_none));
+        assert!(chunks.is_empty());
     }
 }

@@ -10,6 +10,10 @@
 //! only the missing ones, producing a report byte-identical to an
 //! uninterrupted run.
 //!
+//! [`run_chunked`] is the one campaign loop. Without a journal directory it
+//! runs the same chunks in memory and never touches JSON; [`run_items`] is
+//! the per-item policy (watchdog, retry, quarantine) every chunk uses.
+//!
 //! # Journal format
 //!
 //! One file, `campaign.journal`, inside the `--resume` directory:
@@ -46,10 +50,14 @@
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use serde::Serialize;
+use tensorlib_linalg::par::{panic_message, par_map_catch_ctl, CatchOutcome, MapControl};
 
 /// Journal file name inside the `--resume` directory.
 pub const JOURNAL_FILE: &str = "campaign.journal";
@@ -257,7 +265,8 @@ impl Journal {
         Ok(Journal { file, entries })
     }
 
-    /// The chunk results recovered from disk, keyed by chunk index.
+    /// The chunk payloads recovered from disk when the journal was opened,
+    /// keyed by chunk index.
     pub fn entries(&self) -> &BTreeMap<u32, String> {
         &self.entries
     }
@@ -277,19 +286,18 @@ impl Journal {
         record.extend_from_slice(bytes);
         self.file.write_all(&record).map_err(io_err)?;
         self.file.sync_data().map_err(io_err)?;
-        self.entries.insert(chunk_index, payload.to_string());
         Ok(())
     }
 }
 
 /// Durability knobs threaded through every campaign entry point. The
-/// default value is *inert*: no journal, no watchdog, default chunk
-/// geometry, one panic retry, SIGINT latch consulted via the process-wide
-/// flag — campaigns behave exactly as they did before this subsystem
-/// existed.
+/// default value runs a campaign in memory: no journal, no watchdog, the
+/// campaign's default chunk geometry, one attempt per work item, and the
+/// process-wide SIGINT flag as the interrupt latch.
 #[derive(Clone, Default)]
 pub struct DurabilityOptions {
-    /// Journal directory (`--resume <dir>`). `None` disables journaling.
+    /// Journal directory (`--resume <dir>`). `None` runs the campaign in
+    /// memory, without a journal or telemetry.
     pub dir: Option<PathBuf>,
     /// Per-chunk wall-clock watchdog (`--chunk-timeout`). Work items not
     /// yet started when a chunk's deadline passes are demoted to a typed
@@ -300,7 +308,7 @@ pub struct DurabilityOptions {
     pub chunk_size: Option<usize>,
     /// How many times a panicking work item is retried serially before
     /// being quarantined with its panic payload captured in the report.
-    /// `0` (the inert default) means one attempt, no retries.
+    /// `0` (the default) means one attempt, no retries.
     pub panic_retries: usize,
     /// Interrupt latch. `None` uses the process-wide SIGINT flag
     /// ([`crate::interrupt::interrupted`]); tests install a local flag so
@@ -313,15 +321,13 @@ pub struct DurabilityOptions {
     /// Disables the campaign telemetry layer (`events.jsonl` /
     /// `status.json`) for journaled runs. Off by default — journaled
     /// campaigns stream telemetry unless the caller opts out (the perfgate
-    /// uses this to A/B the telemetry overhead). Deliberately *not* part of
-    /// [`DurabilityOptions::is_inert`]: telemetry only ever activates when a
-    /// journal directory is set, so the knob cannot drag an otherwise inert
-    /// run off the legacy path.
+    /// uses this to A/B the telemetry overhead). Telemetry only ever
+    /// activates when a journal directory is set.
     pub telemetry_off: bool,
 }
 
 impl DurabilityOptions {
-    /// Inert options plus one non-default knob commonly set together.
+    /// Default options with a journal directory set.
     pub fn with_dir(dir: impl Into<PathBuf>) -> DurabilityOptions {
         DurabilityOptions {
             dir: Some(dir.into()),
@@ -329,18 +335,8 @@ impl DurabilityOptions {
         }
     }
 
-    /// True when every knob is at its inert default, i.e. the campaign can
-    /// take its legacy non-chunked path with identical behaviour.
-    pub fn is_inert(&self) -> bool {
-        self.dir.is_none()
-            && self.chunk_timeout.is_none()
-            && self.chunk_size.is_none()
-            && self.interrupt.is_none()
-            && self.chaos_panic_targets.is_empty()
-    }
-
-    /// Panics if `identity` matches a chaos target. Call at the top of each
-    /// work item; a no-op unless the test configured chaos.
+    /// Panics if `identity` matches a chaos target. A no-op unless the test
+    /// configured chaos.
     pub fn chaos_check(&self, identity: &str) {
         if self
             .chaos_panic_targets
@@ -372,6 +368,89 @@ impl DurabilityOptions {
     }
 }
 
+/// What the campaign policy made of one work item (see [`run_items`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ItemOutcome<R> {
+    /// The item ran, possibly after serial retries, and returned a result.
+    Done(R),
+    /// The chunk's watchdog deadline passed before the item started.
+    Degraded,
+    /// Every attempt panicked; the item is quarantined with the last panic
+    /// message.
+    Quarantined {
+        /// Attempts made (`1 + panic_retries`).
+        attempts: usize,
+        /// The last attempt's panic message.
+        message: String,
+    },
+}
+
+/// Renders a quarantined item's panic for a report: the bare message after
+/// a single attempt, prefixed with the attempt count after retries.
+pub fn quarantine_detail(attempts: usize, message: String) -> String {
+    if attempts > 1 {
+        format!("quarantined after {attempts} attempts: {message}")
+    } else {
+        message
+    }
+}
+
+/// The per-item campaign policy every runner shares: maps `run` over
+/// `items` on `workers` threads (handed out `par_chunk` at a time) with the
+/// chunk watchdog from `durability` (items not started by the deadline come
+/// back [`ItemOutcome::Degraded`]), per-item panic isolation with a bounded
+/// serial retry before quarantine, and the test-only chaos hook, which
+/// checks every identity `identities` returns for an item before it runs.
+/// Outcomes are in item order for any worker count.
+pub fn run_items<T, R, I, F>(
+    items: &[T],
+    workers: usize,
+    par_chunk: usize,
+    durability: &DurabilityOptions,
+    identities: I,
+    run: F,
+) -> Vec<ItemOutcome<R>>
+where
+    T: Sync,
+    R: Send,
+    I: Fn(&T) -> Vec<String> + Sync,
+    F: Fn(&T) -> R + Sync,
+{
+    let run_item = |item: &T| {
+        if !durability.chaos_panic_targets.is_empty() {
+            for identity in identities(item) {
+                durability.chaos_check(&identity);
+            }
+        }
+        run(item)
+    };
+    let ctl = MapControl {
+        deadline: durability.chunk_deadline(),
+        cancel: None,
+    };
+    let attempts = durability.panic_attempts();
+    par_map_catch_ctl(items, workers, par_chunk, ctl, |_, item| run_item(item))
+        .into_iter()
+        .zip(items)
+        .map(|(r, item)| match r {
+            CatchOutcome::Done(x) => ItemOutcome::Done(x),
+            CatchOutcome::Skipped => ItemOutcome::Degraded,
+            CatchOutcome::Panicked(mut message) => {
+                // A deterministic panic will recur, but an environmental one
+                // (resource exhaustion under a full worker pool) gets another
+                // chance on a quiet thread.
+                for _ in 1..attempts {
+                    match catch_unwind(AssertUnwindSafe(|| run_item(item))) {
+                        Ok(x) => return ItemOutcome::Done(x),
+                        Err(payload) => message = panic_message(payload),
+                    }
+                }
+                ItemOutcome::Quarantined { attempts, message }
+            }
+        })
+        .collect()
+}
+
 /// Replay/execution accounting for a chunked campaign run. Feeds the
 /// `journal` provenance block — never the report body, because replay
 /// counts legitimately differ between a clean run and a resumed run whose
@@ -385,94 +464,88 @@ pub struct RunStats {
     /// Chunks executed (and journaled, when a journal is open) by this run.
     pub chunks_executed: usize,
     /// True when the run stopped early on an interrupt; the report built
-    /// from the returned slots is partial and resumable.
+    /// from the returned chunks is partial and resumable.
     pub interrupted: bool,
 }
 
-/// Runs a campaign as `total_chunks` deterministic work units with
-/// journaled checkpoint/resume.
+/// How one campaign's typed chunk results meet the journal and telemetry.
+/// Each campaign module owns its chunk schema, so it supplies the decoder
+/// and the counter; [`run_chunked`] owns the chunk loop, so it owns when
+/// they run.
+pub struct ChunkSpec<'a, C> {
+    /// Campaign kind: `"faults"`, `"fuzz"`, or `"explore"`.
+    pub kind: &'a str,
+    /// Decodes a replayed journal payload back into a chunk result — the
+    /// inverse of `serde_json::to_string`, so re-serializing the decoded
+    /// value reproduces the payload byte-for-byte.
+    pub decode: &'a dyn Fn(&str) -> Result<C, String>,
+    /// Counts outcomes in one chunk result (e.g. `{"masked": 12, "sdc":
+    /// 1}`) for telemetry. Runs over replayed chunks too, so status counters
+    /// cover the whole campaign, not just this process's share.
+    pub count_outcomes: &'a dyn Fn(&C) -> BTreeMap<String, u64>,
+}
+
+/// Runs a campaign as `total_chunks` deterministic work units: the one
+/// campaign loop behind every faults, fuzz and explore run.
 ///
-/// Chunks already present in the journal are replayed without calling
-/// `exec`. Missing chunks run in ascending index order; each result is
-/// appended (and fsynced) to the journal before the next chunk starts. The
-/// interrupt latch is checked *between* chunks — an in-flight chunk always
-/// drains to completion — so an interrupted run returns a prefix-complete
-/// set of slots plus `interrupted: true`, and a later resume picks up at
-/// the first missing chunk.
+/// Without a journal directory the chunks run in memory and their typed
+/// results are returned as they are; nothing is encoded or decoded. With
+/// one, chunks already in the journal are decoded with `spec.decode`
+/// instead of calling `exec`, and each newly executed chunk is serialized
+/// once and appended (and fsynced) before the next chunk starts; unless
+/// `opts.telemetry_off`, the run also maintains `events.jsonl` and
+/// `status.json` in the directory (see [`tensorlib_obs::events`]).
 ///
-/// `exec` receives the chunk index and returns the chunk's canonical JSON
-/// payload; determinism of `exec` is what makes a resumed report
-/// byte-identical to an uninterrupted one.
+/// Missing chunks run in ascending index order. The interrupt latch is
+/// checked *between* chunks — an in-flight chunk always drains to
+/// completion — so an interrupted run returns the completed prefix plus
+/// `interrupted: true`, and a later resume picks up at the first missing
+/// chunk. The returned chunks are always that prefix, in index order;
+/// determinism of `exec` is what makes a resumed report byte-identical to
+/// an uninterrupted one.
+///
+/// Telemetry is observational only and strictly best-effort: every
+/// telemetry write failure is swallowed, and no wall-clock data ever
+/// reaches the returned chunks (the report inputs).
 ///
 /// # Errors
 ///
-/// Journal open/append failures ([`JournalError`]); `dir: None` runs the
-/// same chunked loop without persistence and cannot fail.
-pub fn run_chunked<F>(
+/// Journal open/append failures, and [`JournalError::Decode`] for a
+/// replayed payload that does not decode. Without a journal directory the
+/// run cannot fail.
+pub fn run_chunked<C, F>(
     opts: &DurabilityOptions,
     config_hash: u64,
     total_chunks: usize,
-    exec: F,
-) -> Result<(Vec<Option<String>>, RunStats), JournalError>
-where
-    F: FnMut(usize) -> String,
-{
-    run_chunked_observed(opts, config_hash, total_chunks, None, exec)
-}
-
-/// How a campaign's chunk payloads translate into telemetry: the campaign
-/// kind plus a payload → per-outcome-counter function. Each campaign module
-/// owns its payload schema, so it supplies the counter; the journal layer
-/// owns the chunk loop, so it owns *when* events fire.
-pub struct TelemetrySpec<'a> {
-    /// Campaign kind: `"faults"`, `"fuzz"`, or `"explore"`.
-    pub kind: &'a str,
-    /// Counts outcomes in one chunk's canonical JSON payload (e.g.
-    /// `{"masked": 12, "sdc": 1}`). Must be a pure function of the payload —
-    /// it also runs over *replayed* payloads on resume so status counters
-    /// cover the whole campaign, not just this process's share.
-    pub count_outcomes: &'a dyn Fn(&str) -> BTreeMap<String, u64>,
-}
-
-/// [`run_chunked`] plus streaming telemetry. When a journal directory is
-/// set, telemetry is on (a `spec` was supplied, `opts.telemetry_off` is
-/// false), the run additionally maintains `events.jsonl` and `status.json`
-/// in the campaign directory — see [`tensorlib_obs::events`].
-///
-/// Telemetry is observational only and strictly best-effort: every
-/// telemetry write failure is swallowed, the chunk loop and its journal
-/// durability guarantees are identical with telemetry on, off, or failing,
-/// and no wall-clock data ever reaches the returned slots (the report
-/// inputs) — it lives only in the telemetry files, quarantined under
-/// `timing` sub-objects.
-pub fn run_chunked_observed<F>(
-    opts: &DurabilityOptions,
-    config_hash: u64,
-    total_chunks: usize,
-    telemetry: Option<&TelemetrySpec<'_>>,
+    spec: &ChunkSpec<'_, C>,
     mut exec: F,
-) -> Result<(Vec<Option<String>>, RunStats), JournalError>
+) -> Result<(Vec<C>, RunStats), JournalError>
 where
-    F: FnMut(usize) -> String,
+    C: Serialize,
+    F: FnMut(usize) -> C,
 {
     let mut journal = match &opts.dir {
         Some(dir) => Some(Journal::open(dir, config_hash, total_chunks as u32)?),
         None => None,
     };
-    let mut slots: Vec<Option<String>> = vec![None; total_chunks];
+    let mut slots: Vec<Option<C>> = (0..total_chunks).map(|_| None).collect();
     let mut stats = RunStats {
         chunks_total: total_chunks,
         ..RunStats::default()
     };
     if let Some(j) = &journal {
         for (&idx, payload) in j.entries() {
-            slots[idx as usize] = Some(payload.clone());
+            slots[idx as usize] = Some((spec.decode)(payload).map_err(JournalError::Decode)?);
             stats.chunks_replayed += 1;
         }
     }
-    let mut telemetry = match (&opts.dir, telemetry) {
-        (Some(dir), Some(spec)) if !opts.telemetry_off => {
-            Telemetry::begin(dir, spec, config_hash, total_chunks, &slots)
+    let mut telemetry = match &opts.dir {
+        Some(dir) if !opts.telemetry_off => {
+            let mut replayed = BTreeMap::new();
+            for chunk in slots.iter().flatten() {
+                merge_counts(&mut replayed, &(spec.count_outcomes)(chunk));
+            }
+            Telemetry::begin(dir, spec.kind, config_hash, &stats, replayed)
         }
         _ => None,
     };
@@ -485,27 +558,28 @@ where
             break;
         }
         let chunk_started = Instant::now();
-        let payload = exec(i);
+        let chunk = exec(i);
         if let Some(j) = &mut journal {
+            let payload = serde_json::to_string(&chunk).expect("chunk results serialize");
             j.append(i as u32, &payload)?;
         }
         if let Some(t) = &mut telemetry {
-            t.chunk_completed(i, &payload, chunk_started.elapsed());
+            t.chunk_completed(i, (spec.count_outcomes)(&chunk), chunk_started.elapsed());
         }
-        *slot = Some(payload);
+        *slot = Some(chunk);
         stats.chunks_executed += 1;
     }
     if let Some(t) = &mut telemetry {
         t.finish(stats.interrupted);
     }
-    Ok((slots, stats))
+    Ok((slots.into_iter().map_while(|s| s).collect(), stats))
 }
 
 /// Live telemetry state for one journaled campaign run: the open event log
 /// plus the running counters behind `status.json`. All writes are
 /// best-effort; a telemetry I/O failure never fails the campaign.
 struct Telemetry<'a> {
-    spec: &'a TelemetrySpec<'a>,
+    kind: &'a str,
     dir: PathBuf,
     log: tensorlib_obs::events::EventLog,
     config_hash: String,
@@ -520,39 +594,35 @@ struct Telemetry<'a> {
 }
 
 impl<'a> Telemetry<'a> {
+    /// Opens the event log and announces the run; `replayed` holds the
+    /// outcome counts of every chunk recovered from the journal.
     fn begin(
         dir: &Path,
-        spec: &'a TelemetrySpec<'a>,
+        kind: &'a str,
         config_hash: u64,
-        chunks_total: usize,
-        replayed_slots: &[Option<String>],
+        stats: &RunStats,
+        replayed: BTreeMap<String, u64>,
     ) -> Option<Telemetry<'a>> {
         use tensorlib_obs::events::{Event, EventLog};
         let mut log = EventLog::open(dir).ok()?;
-        let mut outcomes = BTreeMap::new();
-        let mut chunks_replayed = 0usize;
-        for payload in replayed_slots.iter().flatten() {
-            merge_counts(&mut outcomes, &(spec.count_outcomes)(payload));
-            chunks_replayed += 1;
-        }
         let _ = log.append(
             Event::new("campaign_started")
-                .str("kind", spec.kind)
+                .str("kind", kind)
                 .str("config_hash", &format!("{config_hash:016x}"))
-                .u64("total_chunks", chunks_total as u64)
-                .u64("chunks_replayed", chunks_replayed as u64)
+                .u64("total_chunks", stats.chunks_total as u64)
+                .u64("chunks_replayed", stats.chunks_replayed as u64)
                 .u64("pid", std::process::id() as u64)
                 .timing(&[]),
         );
         let t = Telemetry {
-            spec,
+            kind,
             dir: dir.to_path_buf(),
             log,
             config_hash: format!("{config_hash:016x}"),
-            chunks_total,
-            chunks_replayed,
+            chunks_total: stats.chunks_total,
+            chunks_replayed: stats.chunks_replayed,
             chunks_executed: 0,
-            outcomes,
+            outcomes: replayed,
             started: Instant::now(),
             ewma_chunk_ms: 0.0,
         };
@@ -560,9 +630,8 @@ impl<'a> Telemetry<'a> {
         Some(t)
     }
 
-    fn chunk_completed(&mut self, index: usize, payload: &str, wall: Duration) {
+    fn chunk_completed(&mut self, index: usize, counts: BTreeMap<String, u64>, wall: Duration) {
         use tensorlib_obs::events::Event;
-        let counts = (self.spec.count_outcomes)(payload);
         merge_counts(&mut self.outcomes, &counts);
         self.chunks_executed += 1;
         let wall_ms = wall.as_secs_f64() * 1e3;
@@ -623,7 +692,7 @@ impl<'a> Telemetry<'a> {
             0
         };
         let snapshot = StatusSnapshot {
-            kind: self.spec.kind.to_string(),
+            kind: self.kind.to_string(),
             state: state.to_string(),
             pid: std::process::id(),
             config_hash: self.config_hash.clone(),
@@ -825,6 +894,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn decode_u64(payload: &str) -> Result<u64, String> {
+        payload.parse().map_err(|e| format!("{e}"))
+    }
+
+    /// Counts every chunk as `done`; chunk values of 100 and up also count
+    /// as `degraded`.
+    fn count_marks(chunk: &u64) -> BTreeMap<String, u64> {
+        let mut counts = BTreeMap::new();
+        counts.insert("done".to_string(), 1);
+        if *chunk >= 100 {
+            counts.insert("degraded".to_string(), 1);
+        }
+        counts
+    }
+
+    fn marks_spec() -> ChunkSpec<'static, u64> {
+        ChunkSpec {
+            kind: "faults",
+            decode: &decode_u64,
+            count_outcomes: &count_marks,
+        }
+    }
+
     #[test]
     fn run_chunked_replays_and_drains_on_interrupt() {
         let dir = tmpdir("chunked");
@@ -835,50 +927,47 @@ mod tests {
             interrupt: Some(flag.clone()),
             ..DurabilityOptions::default()
         };
+        let spec = marks_spec();
         // First run: interrupt after chunk 1 executes.
         let flag2 = flag.clone();
-        let (slots, stats) = run_chunked(&opts, hash, 4, |i| {
+        let (chunks, stats) = run_chunked(&opts, hash, 4, &spec, |i| {
             if i == 1 {
                 flag2.store(true, Ordering::SeqCst);
             }
-            format!("chunk-{i}")
+            10 * i as u64
         })
         .unwrap();
-        assert_eq!(slots[0].as_deref(), Some("chunk-0"));
-        assert_eq!(slots[1].as_deref(), Some("chunk-1"));
-        assert_eq!(slots[2], None);
+        assert_eq!(chunks, [0, 10]);
         assert!(stats.interrupted);
         assert_eq!(stats.chunks_executed, 2);
         // Resume: chunks 0/1 replay, 2/3 execute, nothing re-runs.
         flag.store(false, Ordering::SeqCst);
         let mut ran = Vec::new();
-        let (slots, stats) = run_chunked(&opts, hash, 4, |i| {
+        let (chunks, stats) = run_chunked(&opts, hash, 4, &spec, |i| {
             ran.push(i);
-            format!("chunk-{i}")
+            10 * i as u64
         })
         .unwrap();
         assert_eq!(ran, vec![2, 3]);
+        assert_eq!(chunks, [0, 10, 20, 30]);
         assert_eq!(stats.chunks_replayed, 2);
         assert_eq!(stats.chunks_executed, 2);
         assert!(!stats.interrupted);
-        assert!(slots.iter().all(|s| s.is_some()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn count_marks(payload: &str) -> BTreeMap<String, u64> {
-        let mut counts = BTreeMap::new();
-        counts.insert("done".to_string(), 1);
-        if payload.contains("degraded") {
-            counts.insert("degraded".to_string(), 1);
-        }
-        counts
-    }
-
-    fn marks_spec() -> TelemetrySpec<'static> {
-        TelemetrySpec {
-            kind: "faults",
-            count_outcomes: &count_marks,
-        }
+    #[test]
+    fn undecodable_replay_is_a_decode_error() {
+        let dir = tmpdir("undecodable");
+        let hash = config_hash("faults", 1, 2, "cfg");
+        Journal::open(&dir, hash, 2)
+            .unwrap()
+            .append(0, "not a number")
+            .unwrap();
+        let opts = DurabilityOptions::with_dir(&dir);
+        let err = run_chunked(&opts, hash, 2, &marks_spec(), |i| i as u64).unwrap_err();
+        assert!(matches!(err, JournalError::Decode(_)), "got {err:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -887,16 +976,15 @@ mod tests {
         let dir = tmpdir("telemetry");
         let hash = config_hash("faults", 1, 3, "cfg");
         let opts = DurabilityOptions::with_dir(&dir);
-        let spec = marks_spec();
-        let (slots, stats) = run_chunked_observed(&opts, hash, 3, Some(&spec), |i| {
+        let (chunks, stats) = run_chunked(&opts, hash, 3, &marks_spec(), |i| {
             if i == 2 {
-                format!("chunk-{i}-degraded")
+                100
             } else {
-                format!("chunk-{i}")
+                i as u64
             }
         })
         .unwrap();
-        assert!(slots.iter().all(|s| s.is_some()));
+        assert_eq!(chunks.len(), 3);
         assert!(!stats.interrupted);
         let events = read_events(&dir).unwrap();
         let names: Vec<&str> = events
@@ -943,11 +1031,11 @@ mod tests {
         };
         let spec = marks_spec();
         let flag2 = flag.clone();
-        let (_, stats) = run_chunked_observed(&opts, hash, 4, Some(&spec), |i| {
+        let (_, stats) = run_chunked(&opts, hash, 4, &spec, |i| {
             if i == 1 {
                 flag2.store(true, Ordering::SeqCst);
             }
-            format!("chunk-{i}")
+            i as u64
         })
         .unwrap();
         assert!(stats.interrupted);
@@ -957,8 +1045,7 @@ mod tests {
         // Resume: replayed chunks count into the snapshot via the same
         // outcome counter, so the totals cover the whole campaign.
         flag.store(false, Ordering::SeqCst);
-        let (_, stats) =
-            run_chunked_observed(&opts, hash, 4, Some(&spec), |i| format!("chunk-{i}")).unwrap();
+        let (_, stats) = run_chunked(&opts, hash, 4, &spec, |i| i as u64).unwrap();
         assert_eq!(stats.chunks_replayed, 2);
         let status = StatusSnapshot::read(&dir).unwrap();
         assert_eq!(status.state, "finished");
@@ -998,38 +1085,57 @@ mod tests {
             telemetry_off: true,
             ..DurabilityOptions::with_dir(&dir)
         };
-        let spec = marks_spec();
-        run_chunked_observed(&opts, hash, 2, Some(&spec), |i| format!("chunk-{i}")).unwrap();
+        run_chunked(&opts, hash, 2, &marks_spec(), |i| i as u64).unwrap();
         assert!(!dir.join(EVENTS_FILE).exists());
         assert!(!dir.join(STATUS_FILE).exists());
-        // The knob does not drag inert options off the legacy path.
-        let inert = DurabilityOptions {
-            telemetry_off: true,
-            ..DurabilityOptions::default()
-        };
-        assert!(inert.is_inert());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn run_chunked_without_dir_still_chunks() {
+    fn run_chunked_without_dir_runs_in_memory() {
         let opts = DurabilityOptions::default();
-        let (slots, stats) = run_chunked(&opts, 0, 3, |i| i.to_string()).unwrap();
-        assert_eq!(slots.len(), 3);
+        let (chunks, stats) = run_chunked(&opts, 0, 3, &marks_spec(), |i| i as u64).unwrap();
+        assert_eq!(chunks, [0, 1, 2]);
+        assert_eq!(stats.chunks_total, 3);
         assert_eq!(stats.chunks_executed, 3);
         assert_eq!(stats.chunks_replayed, 0);
+        assert_eq!(DurabilityOptions::default().panic_attempts(), 1);
     }
 
     #[test]
-    fn durability_options_inertness() {
-        assert!(DurabilityOptions::default().is_inert());
-        assert!(!DurabilityOptions::with_dir("/tmp/x").is_inert());
-        let timed = DurabilityOptions {
-            chunk_timeout: Some(Duration::from_secs(1)),
+    fn run_items_degrades_retries_and_quarantines() {
+        let items: Vec<u64> = (0..6).collect();
+        let ids = |x: &u64| vec![format!("item:{x}")];
+        // Chaos on item 3: one retry, then quarantine; every other item runs.
+        let chaos = DurabilityOptions {
+            panic_retries: 1,
+            chaos_panic_targets: vec!["item:3".into()],
             ..DurabilityOptions::default()
         };
-        assert!(!timed.is_inert());
-        assert_eq!(DurabilityOptions::default().panic_attempts(), 1);
+        let out = run_items(&items, 2, 1, &chaos, ids, |x| x * 2);
+        for (x, o) in items.iter().zip(&out) {
+            if *x == 3 {
+                let ItemOutcome::Quarantined { attempts, message } = o else {
+                    panic!("item 3 was not quarantined: {o:?}");
+                };
+                assert_eq!(*attempts, 2);
+                assert!(message.contains("chaos hook tripped for item:3"));
+            } else {
+                assert_eq!(*o, ItemOutcome::Done(x * 2));
+            }
+        }
+        // An expired watchdog degrades every item before it starts.
+        let expired = DurabilityOptions {
+            chunk_timeout: Some(Duration::ZERO),
+            ..DurabilityOptions::default()
+        };
+        let out = run_items(&items, 1, 1, &expired, ids, |x| x * 2);
+        assert!(out.iter().all(|o| *o == ItemOutcome::Degraded));
+        assert_eq!(quarantine_detail(1, "boom".into()), "boom");
+        assert_eq!(
+            quarantine_detail(3, "boom".into()),
+            "quarantined after 3 attempts: boom"
+        );
     }
 
     #[test]

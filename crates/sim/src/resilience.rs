@@ -19,12 +19,14 @@
 //! taxonomy: a fault is **Detected** if any detector fired, else **Sdc** if
 //! the harvested outputs differ from golden, else **Masked**.
 //!
-//! Campaigns parallelize over `tensorlib_linalg::par` with per-fault panic
-//! isolation; the outcome list is in fault order and byte-identical for any
-//! worker count, so reports are seed-deterministic artifacts.
+//! Every entry point runs the fault list as deterministic chunks through
+//! [`crate::journal::run_chunked`] (in memory unless a journal directory is
+//! given) and parallelizes within a chunk with per-fault panic isolation;
+//! the outcome list is in fault order and byte-identical for any worker
+//! count and chunk size, so reports are seed-deterministic artifacts.
 
+use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::Serialize;
 use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
@@ -34,10 +36,9 @@ use tensorlib_hw::fault::{enumerate_sites, sample_faults, FaultKind, FaultSpec, 
 use tensorlib_hw::interp::{elaborate_design, ElaborateError, FlatDesign, Interpreter};
 use tensorlib_hw::{ArrayConfig, HwError};
 use tensorlib_ir::workloads;
-use tensorlib_linalg::par::{panic_message, par_map_catch_ctl, CatchOutcome, MapControl};
 use tensorlib_obs::json::Value;
 
-use crate::journal::{self, DurabilityOptions, JournalError, RunStats};
+use crate::journal::{self, ChunkSpec, DurabilityOptions, ItemOutcome, JournalError, RunStats};
 use crate::trace::fill_input_banks;
 
 /// Outcome class of one injected fault (standard fault-injection taxonomy).
@@ -272,7 +273,8 @@ struct RunResult {
 /// Readback ports read the *other* buffer, so the harvest waits one more
 /// compute phase for `phase` to toggle back before streaming the results
 /// out (readback also fires the parity checks on the result banks).
-fn run_round(sim: &mut Interpreter, design: &AcceleratorDesign, has_tmr: bool) -> RunResult {
+fn run_round(sim: &mut Interpreter, design: &AcceleratorDesign) -> RunResult {
+    let has_tmr = design.config().hardening.tmr_ctrl;
     let phases = design.phases();
     let pre = 1 + phases.total() + phases.load_cycles + phases.compute_cycles;
     let mut tmr_seen = false;
@@ -318,11 +320,8 @@ fn run_round(sim: &mut Interpreter, design: &AcceleratorDesign, has_tmr: bool) -
 /// broadcast; divergence comes from the per-lane faults already attached.
 /// Lane `l`'s [`RunResult`] is bit-identical to a scalar [`run_round`] of an
 /// interpreter carrying lane `l`'s faults.
-fn run_round_batch(
-    sim: &mut BatchSim,
-    design: &AcceleratorDesign,
-    has_tmr: bool,
-) -> Vec<RunResult> {
+fn run_round_batch(sim: &mut BatchSim, design: &AcceleratorDesign) -> Vec<RunResult> {
+    let has_tmr = design.config().hardening.tmr_ctrl;
     let lanes = sim.lanes();
     let phases = design.phases();
     let pre = 1 + phases.total() + phases.load_cycles + phases.compute_cycles;
@@ -433,88 +432,6 @@ fn load_skewed_inputs(
     Ok(())
 }
 
-/// Classifies one faulted run against golden.
-fn classify(
-    cfg: &CampaignConfig,
-    fault: &FaultSpec,
-    run: &RunResult,
-    golden: &RunResult,
-    abft_row_sums: &[i64],
-    abft_col_sums: &[i64],
-) -> FaultOutcome {
-    let mut detectors = Vec::new();
-    if run.parity_errors > 0 {
-        detectors.push("parity".to_string());
-    }
-    if run.tmr_seen {
-        detectors.push("tmr".to_string());
-    }
-    if cfg.hardening.abft {
-        let rows = cfg.rows;
-        let cols = cfg.cols;
-        let mut mismatch = false;
-        for (i, expected) in abft_row_sums.iter().enumerate().take(rows) {
-            let sum: i64 = (0..cols).map(|j| run.c[i * cols + j]).sum();
-            if sum != *expected {
-                mismatch = true;
-            }
-        }
-        for (j, expected) in abft_col_sums.iter().enumerate().take(cols) {
-            let sum: i64 = (0..rows).map(|i| run.c[i * cols + j]).sum();
-            if sum != *expected {
-                mismatch = true;
-            }
-        }
-        if mismatch {
-            detectors.push("abft".to_string());
-        }
-    }
-    let class = if !detectors.is_empty() {
-        FaultClass::Detected
-    } else if run.c != golden.c {
-        FaultClass::Sdc
-    } else {
-        FaultClass::Masked
-    };
-    FaultOutcome {
-        fault: fault.clone(),
-        class,
-        detectors,
-        error: None,
-    }
-}
-
-fn aggregate(
-    design: &AcceleratorDesign,
-    cfg: &CampaignConfig,
-    cycles: u64,
-    outcomes: Vec<FaultOutcome>,
-) -> ResilienceReport {
-    let masked = outcomes.iter().filter(|o| o.class == FaultClass::Masked).count();
-    let detected = outcomes.iter().filter(|o| o.class == FaultClass::Detected).count();
-    let sdc = outcomes.iter().filter(|o| o.class == FaultClass::Sdc).count();
-    let errors = outcomes.iter().filter(|o| o.error.is_some()).count();
-    let degraded = outcomes.iter().filter(|o| o.class == FaultClass::Degraded).count();
-    let denom = detected + sdc;
-    ResilienceReport {
-        design: design.name().to_string(),
-        hardening: cfg.hardening.to_string(),
-        cycles_per_run: cycles,
-        faults: outcomes.len(),
-        masked,
-        detected,
-        sdc,
-        errors,
-        degraded,
-        detection_coverage: if denom == 0 {
-            1.0
-        } else {
-            detected as f64 / denom as f64
-        },
-        outcomes,
-    }
-}
-
 /// The outcome assigned to a fault that never ran because the chunk's
 /// watchdog deadline passed first.
 fn degraded_outcome(fault: &FaultSpec) -> FaultOutcome {
@@ -543,184 +460,292 @@ fn quarantined_outcome(fault: &FaultSpec, attempts: usize, message: &str) -> Fau
     }
 }
 
-/// Runs a fault campaign over specific `faults` on a prepared base
-/// interpreter (shared by [`run_campaign`] and [`run_gemm_campaign`]).
-///
-/// `durability` supplies the graceful-degradation knobs: a per-call
-/// watchdog deadline (items not started in time come back
-/// [`FaultClass::Degraded`]), a bounded serial retry for panicking items
-/// before they are quarantined, and the test-only chaos hook. The inert
-/// default reproduces the historical behaviour exactly.
-#[allow(clippy::too_many_arguments)]
-fn drive_campaign(
-    base: &Interpreter,
-    design: &AcceleratorDesign,
-    cfg: &CampaignConfig,
-    has_tmr: bool,
-    faults: &[FaultSpec],
-    golden: &RunResult,
-    abft_row_sums: &[i64],
-    abft_col_sums: &[i64],
-    durability: &DurabilityOptions,
-) -> Vec<FaultOutcome> {
-    let _span = tensorlib_obs::span("sim.fault_injection");
-    tensorlib_obs::counter_add("sim.faults_injected", faults.len() as u64);
-    if cfg.lanes > 1 {
-        return drive_campaign_batched(
-            base,
-            design,
-            cfg,
-            has_tmr,
-            faults,
-            golden,
-            abft_row_sums,
-            abft_col_sums,
-            durability,
-        );
-    }
-    let run_one = |fault: &FaultSpec| -> FaultOutcome {
-        durability.chaos_check(&fault.target);
-        let mut sim = base.clone();
-        match sim.attach_faults(std::slice::from_ref(fault)) {
-            Ok(()) => {
-                let run = run_round(&mut sim, design, has_tmr);
-                classify(cfg, fault, &run, golden, abft_row_sums, abft_col_sums)
-            }
-            Err(e) => FaultOutcome {
-                fault: fault.clone(),
-                class: FaultClass::Masked,
-                detectors: Vec::new(),
-                error: Some(format!("attach failed: {e}")),
-            },
-        }
-    };
-    let ctl = MapControl {
-        deadline: durability.chunk_deadline(),
-        cancel: None,
-    };
-    let attempts = durability.panic_attempts();
-    let results = par_map_catch_ctl(faults, cfg.workers, 1, ctl, |_, fault| run_one(fault));
-    results
-        .into_iter()
-        .zip(faults)
-        .map(|(r, fault)| match r {
-            CatchOutcome::Done(outcome) => outcome,
-            CatchOutcome::Skipped => degraded_outcome(fault),
-            CatchOutcome::Panicked(mut message) => {
-                // Bounded serial retry before quarantine: a deterministic
-                // panic will recur, but an environmental one (resource
-                // exhaustion under a full worker pool) gets a second chance
-                // on a quiet thread.
-                for _ in 1..attempts {
-                    match catch_unwind(AssertUnwindSafe(|| run_one(fault))) {
-                        Ok(outcome) => return outcome,
-                        Err(payload) => message = panic_message(payload),
-                    }
-                }
-                quarantined_outcome(fault, attempts, &message)
-            }
-        })
-        .collect()
+/// Everything a campaign's work items share: the faulted design, the base
+/// interpreter (banks loaded, `start` poked high), the golden run and its
+/// ABFT checksums, and the fault list.
+struct Campaign {
+    cfg: CampaignConfig,
+    design: AcceleratorDesign,
+    base: Interpreter,
+    golden: RunResult,
+    abft_row_sums: Vec<i64>,
+    abft_col_sums: Vec<i64>,
+    faults: Vec<FaultSpec>,
+    cycles: u64,
 }
 
-/// The lane-batched campaign drive: the fault list is chunked into lane
-/// groups *before* the worker pool, each group broadcast onto a
-/// [`BatchSim`] with one fault per lane, and one batched round retires the
-/// whole group. Outcomes stay in fault order and — because every lane is
-/// bit-identical to its scalar counterpart — the assembled report is
-/// byte-identical to the scalar path's for any lane width and worker count.
-/// (The one divergence, shared with the scalar path's per-fault panic
-/// isolation: a panic poisons its whole lane group, so *which* faults carry
-/// a panic error can differ. Clean campaigns are unaffected.)
-#[allow(clippy::too_many_arguments)]
-fn drive_campaign_batched(
-    base: &Interpreter,
-    design: &AcceleratorDesign,
-    cfg: &CampaignConfig,
-    has_tmr: bool,
-    faults: &[FaultSpec],
-    golden: &RunResult,
-    abft_row_sums: &[i64],
-    abft_col_sums: &[i64],
-    durability: &DurabilityOptions,
-) -> Vec<FaultOutcome> {
-    let chunks: Vec<&[FaultSpec]> = faults.chunks(cfg.lanes).collect();
-    let run_group = |chunk: &[FaultSpec]| -> Vec<FaultOutcome> {
-        for fault in chunk {
-            durability.chaos_check(&fault.target);
+impl Campaign {
+    /// Injects `fault` into a fresh clone of the base and classifies it.
+    fn run_one(&self, fault: &FaultSpec) -> FaultOutcome {
+        let mut sim = self.base.clone();
+        match sim.attach_faults(std::slice::from_ref(fault)) {
+            Ok(()) => {
+                let run = run_round(&mut sim, &self.design);
+                self.classify(fault, &run)
+            }
+            Err(e) => attach_failed(fault, &e),
         }
-        let mut sim = BatchSim::from_scalar(base, chunk.len());
-        let per_lane: Vec<Vec<FaultSpec>> = chunk.iter().map(|f| vec![f.clone()]).collect();
+    }
+
+    /// Retires a lane group in one batched round, one fault per lane.
+    fn run_group(&self, group: &[FaultSpec]) -> Vec<FaultOutcome> {
+        let mut sim = BatchSim::from_scalar(&self.base, group.len());
+        let per_lane: Vec<Vec<FaultSpec>> = group.iter().map(|f| vec![f.clone()]).collect();
         let attach = sim.attach_lane_faults(&per_lane);
-        let runs = run_round_batch(&mut sim, design, has_tmr);
-        chunk
+        let runs = run_round_batch(&mut sim, &self.design);
+        group
             .iter()
             .zip(attach)
             .zip(runs)
             .map(|((fault, att), run)| match att {
-                Ok(()) => classify(cfg, fault, &run, golden, abft_row_sums, abft_col_sums),
-                Err(e) => FaultOutcome {
-                    fault: fault.clone(),
-                    class: FaultClass::Masked,
-                    detectors: Vec::new(),
-                    error: Some(format!("attach failed: {e}")),
-                },
+                Ok(()) => self.classify(fault, &run),
+                Err(e) => attach_failed(fault, &e),
             })
-            .collect::<Vec<FaultOutcome>>()
-    };
-    let ctl = MapControl {
-        deadline: durability.chunk_deadline(),
-        cancel: None,
-    };
-    let attempts = durability.panic_attempts();
-    let results = par_map_catch_ctl(&chunks, cfg.workers, 1, ctl, |_, chunk| run_group(chunk));
-    results
-        .into_iter()
-        .zip(&chunks)
-        .flat_map(|(r, chunk)| match r {
-            CatchOutcome::Done(outcomes) => outcomes,
-            CatchOutcome::Skipped => chunk.iter().map(degraded_outcome).collect(),
-            CatchOutcome::Panicked(mut message) => {
-                // A panic poisons the whole lane group; retry the group
-                // serially before quarantining every member.
-                for _ in 1..attempts {
-                    match catch_unwind(AssertUnwindSafe(|| run_group(chunk))) {
-                        Ok(outcomes) => return outcomes,
-                        Err(payload) => message = panic_message(payload),
-                    }
+            .collect()
+    }
+
+    /// Assembles the report from the outcomes of the campaign's faults.
+    fn report(&self, outcomes: Vec<FaultOutcome>) -> ResilienceReport {
+        let masked = outcomes.iter().filter(|o| o.class == FaultClass::Masked).count();
+        let detected = outcomes.iter().filter(|o| o.class == FaultClass::Detected).count();
+        let sdc = outcomes.iter().filter(|o| o.class == FaultClass::Sdc).count();
+        let errors = outcomes.iter().filter(|o| o.error.is_some()).count();
+        let degraded = outcomes.iter().filter(|o| o.class == FaultClass::Degraded).count();
+        let denom = detected + sdc;
+        ResilienceReport {
+            design: self.design.name().to_string(),
+            hardening: self.cfg.hardening.to_string(),
+            cycles_per_run: self.cycles,
+            faults: outcomes.len(),
+            masked,
+            detected,
+            sdc,
+            errors,
+            degraded,
+            detection_coverage: if denom == 0 {
+                1.0
+            } else {
+                detected as f64 / denom as f64
+            },
+            outcomes,
+        }
+    }
+
+    /// Classifies one faulted run against golden.
+    fn classify(&self, fault: &FaultSpec, run: &RunResult) -> FaultOutcome {
+        let cfg = &self.cfg;
+        let mut detectors = Vec::new();
+        if run.parity_errors > 0 {
+            detectors.push("parity".to_string());
+        }
+        if run.tmr_seen {
+            detectors.push("tmr".to_string());
+        }
+        if cfg.hardening.abft {
+            let rows = cfg.rows;
+            let cols = cfg.cols;
+            let mut mismatch = false;
+            for (i, expected) in self.abft_row_sums.iter().enumerate().take(rows) {
+                let sum: i64 = (0..cols).map(|j| run.c[i * cols + j]).sum();
+                if sum != *expected {
+                    mismatch = true;
                 }
-                chunk
-                    .iter()
-                    .map(|fault| quarantined_outcome(fault, attempts, &message))
-                    .collect()
             }
+            for (j, expected) in self.abft_col_sums.iter().enumerate().take(cols) {
+                let sum: i64 = (0..rows).map(|i| run.c[i * cols + j]).sum();
+                if sum != *expected {
+                    mismatch = true;
+                }
+            }
+            if mismatch {
+                detectors.push("abft".to_string());
+            }
+        }
+        let class = if !detectors.is_empty() {
+            FaultClass::Detected
+        } else if run.c != self.golden.c {
+            FaultClass::Sdc
+        } else {
+            FaultClass::Masked
+        };
+        FaultOutcome {
+            fault: fault.clone(),
+            class,
+            detectors,
+            error: None,
+        }
+    }
+}
+
+fn attach_failed(fault: &FaultSpec, e: &impl fmt::Display) -> FaultOutcome {
+    FaultOutcome {
+        fault: fault.clone(),
+        class: FaultClass::Masked,
+        detectors: Vec::new(),
+        error: Some(format!("attach failed: {e}")),
+    }
+}
+
+/// Runs `faults` (one chunk of a campaign) under the campaign policy of
+/// [`journal::run_items`]: the chunk watchdog demotes faults not started in
+/// time to [`FaultClass::Degraded`], and a panicking fault is retried
+/// serially before it is quarantined.
+///
+/// With `lanes > 1` the work items are lane groups rather than single
+/// faults: each group is broadcast onto a [`BatchSim`] with one fault per
+/// lane and retired in one batched round. Outcomes stay in fault order and —
+/// because every lane is bit-identical to its scalar counterpart — the
+/// assembled report is byte-identical to the scalar drive's for any lane
+/// width and worker count. (The one divergence: a panic poisons its whole
+/// lane group, so *which* faults carry a panic error can differ. Clean
+/// campaigns are unaffected.)
+fn drive_campaign(
+    campaign: &Campaign,
+    faults: &[FaultSpec],
+    durability: &DurabilityOptions,
+) -> Vec<FaultOutcome> {
+    let _span = tensorlib_obs::span("sim.fault_injection");
+    tensorlib_obs::counter_add("sim.faults_injected", faults.len() as u64);
+    let cfg = &campaign.cfg;
+    if cfg.lanes <= 1 {
+        let outcomes = journal::run_items(
+            faults,
+            cfg.workers,
+            1,
+            durability,
+            |f| vec![f.target.clone()],
+            |f| campaign.run_one(f),
+        );
+        return outcomes
+            .into_iter()
+            .zip(faults)
+            .map(|(o, fault)| match o {
+                ItemOutcome::Done(outcome) => outcome,
+                ItemOutcome::Degraded => degraded_outcome(fault),
+                ItemOutcome::Quarantined { attempts, message } => {
+                    quarantined_outcome(fault, attempts, &message)
+                }
+            })
+            .collect();
+    }
+    let groups: Vec<&[FaultSpec]> = faults.chunks(cfg.lanes).collect();
+    let outcomes = journal::run_items(
+        &groups,
+        cfg.workers,
+        1,
+        durability,
+        |group| group.iter().map(|f| f.target.clone()).collect(),
+        |group| campaign.run_group(group),
+    );
+    outcomes
+        .into_iter()
+        .zip(&groups)
+        .flat_map(|(o, group)| match o {
+            ItemOutcome::Done(outcomes) => outcomes,
+            ItemOutcome::Degraded => group.iter().map(degraded_outcome).collect(),
+            ItemOutcome::Quarantined { attempts, message } => group
+                .iter()
+                .map(|fault| quarantined_outcome(fault, attempts, &message))
+                .collect(),
         })
         .collect()
 }
 
-/// Output of campaign setup shared by both entry points.
-struct CampaignBase {
-    design: AcceleratorDesign,
-    flat: FlatDesign,
-    cycles: u64,
-    has_tmr: bool,
-}
-
-fn prepare(cfg: &CampaignConfig) -> Result<CampaignBase, CampaignError> {
+/// Generates (and, with `cfg.opt`, optimizes) the campaign design and
+/// flattens it.
+fn prepare(cfg: &CampaignConfig) -> Result<(AcceleratorDesign, FlatDesign), CampaignError> {
     let mut design = gemm_design(cfg)?;
     if cfg.opt {
         design.optimize(&tensorlib_hw::opt::OptOptions::default());
     }
     let flat = elaborate_design(&design, design.top())?;
+    Ok((design, flat))
+}
+
+/// How a campaign picks its faults from the flattened design.
+enum FaultPlan {
+    /// `cfg.faults` seeded samples over every register, bank word, and
+    /// controller state.
+    Sampled,
+    /// Every `*_acc` register × every bit in `0..bits`, flipped at `cycle`.
+    AccumulatorSweep { bits: u32, cycle: u64 },
+    /// An explicit list.
+    Explicit(Vec<FaultSpec>),
+}
+
+/// Prepares the design, picks the faults, loads the base interpreter with
+/// `load`, and runs the golden round. The ABFT sums are left empty.
+fn setup(
+    cfg: &CampaignConfig,
+    plan: FaultPlan,
+    load: impl FnOnce(&mut Interpreter, &AcceleratorDesign) -> Result<(), HwError>,
+) -> Result<Campaign, CampaignError> {
+    let (design, flat) = prepare(cfg)?;
     // One idle handshake cycle plus one full load/compute/drain round.
     let cycles = 1 + design.phases().total();
-    let has_tmr = cfg.hardening.tmr_ctrl;
-    Ok(CampaignBase {
+    let faults = match plan {
+        FaultPlan::Sampled => sample_faults(&enumerate_sites(&flat), cfg.faults, cfg.seed, cycles),
+        FaultPlan::AccumulatorSweep { bits, cycle } => accumulator_nets(&flat)
+            .iter()
+            .flat_map(|net| (0..bits).map(move |b| FaultSpec::flip(net.as_str(), b, cycle)))
+            .collect(),
+        FaultPlan::Explicit(faults) => faults,
+    };
+    let mut base = Interpreter::new(flat);
+    load(&mut base, &design)?;
+    base.poke("start", 1);
+    let mut golden_sim = base.clone();
+    let golden = {
+        let _golden_span = tensorlib_obs::span("sim.golden_run");
+        run_round(&mut golden_sim, &design)
+    };
+    Ok(Campaign {
+        cfg: *cfg,
         design,
-        flat,
+        base,
+        golden,
+        abft_row_sums: Vec::new(),
+        abft_col_sums: Vec::new(),
+        faults,
         cycles,
-        has_tmr,
     })
+}
+
+/// The real-data GEMM campaign setup: seeded random matrices streamed into
+/// the input banks, the golden run cross-checked element-wise against the
+/// reference executor, and the ABFT checksums taken from the verified
+/// golden result.
+fn setup_gemm(cfg: &CampaignConfig, plan: FaultPlan) -> Result<Campaign, CampaignError> {
+    let gemm = workloads::gemm(cfg.rows as u64, cfg.cols as u64, cfg.k);
+    let inputs = gemm.random_inputs(cfg.seed);
+    let reference = gemm
+        .execute_reference(&inputs)
+        .expect("self-generated inputs fit the kernel");
+    let mut campaign = setup(cfg, plan, |base, design| {
+        load_skewed_inputs(base, design, &inputs[0], &inputs[1], cfg.k as i64)
+    })?;
+    let c = &campaign.golden.c;
+    for i in 0..cfg.rows {
+        for j in 0..cfg.cols {
+            let expected = reference.get(&[i as i64, j as i64]);
+            let got = c[i * cfg.cols + j];
+            if got != expected {
+                return Err(CampaignError::GoldenMismatch {
+                    row: i,
+                    col: j,
+                    expected,
+                    got,
+                });
+            }
+        }
+    }
+    campaign.abft_row_sums = (0..cfg.rows)
+        .map(|i| (0..cfg.cols).map(|j| c[i * cfg.cols + j]).sum())
+        .collect();
+    campaign.abft_col_sums = (0..cfg.cols)
+        .map(|j| (0..cfg.rows).map(|i| c[i * cfg.cols + j]).sum())
+        .collect();
+    Ok(campaign)
 }
 
 /// Runs a generic ramp-stimulus campaign: banks filled with the counter
@@ -732,37 +757,8 @@ fn prepare(cfg: &CampaignConfig) -> Result<CampaignBase, CampaignError> {
 /// Returns [`CampaignError`] if the design fails to generate, flatten, or
 /// preload.
 pub fn run_campaign(cfg: &CampaignConfig) -> Result<ResilienceReport, CampaignError> {
-    let _span = tensorlib_obs::span("sim.resilience_campaign");
-    let CampaignBase {
-        design,
-        flat,
-        cycles,
-        has_tmr,
-    } = prepare(cfg)?;
-    let sites = enumerate_sites(&flat);
-    let faults = sample_faults(&sites, cfg.faults, cfg.seed, cycles);
-
-    let mut base = Interpreter::new(flat);
-    fill_input_banks(&mut base, &design)?;
-    base.poke("start", 1);
-
-    let mut golden_sim = base.clone();
-    let golden = {
-        let _golden_span = tensorlib_obs::span("sim.golden_run");
-        run_round(&mut golden_sim, &design, has_tmr)
-    };
-    let outcomes = drive_campaign(
-        &base,
-        &design,
-        cfg,
-        has_tmr,
-        &faults,
-        &golden,
-        &[],
-        &[],
-        &DurabilityOptions::default(),
-    );
-    Ok(aggregate(&design, cfg, cycles, outcomes))
+    let campaign = setup(cfg, FaultPlan::Sampled, fill_input_banks)?;
+    Ok(run_chunked_campaign(&campaign, "ramp", &DurabilityOptions::default())?.0)
 }
 
 /// Runs the real-data GEMM campaign: output-stationary `rows x cols` GEMM
@@ -770,86 +766,30 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<ResilienceReport, CampaignEr
 /// run is cross-checked element-wise against [`tensorlib_ir`]'s reference
 /// executor before any fault is injected, and ABFT row/column checksums are
 /// verified on every harvested result when the design is hardened with
-/// ABFT.
+/// ABFT. This is [`run_gemm_campaign_durable`] with default options.
 ///
 /// # Errors
 ///
 /// Returns [`CampaignError`] on setup failure or if the golden run
 /// disagrees with the reference executor.
 pub fn run_gemm_campaign(cfg: &CampaignConfig) -> Result<ResilienceReport, CampaignError> {
-    let _span = tensorlib_obs::span("sim.resilience_campaign");
-    let CampaignBase {
-        design,
-        flat,
-        cycles,
-        has_tmr,
-    } = prepare(cfg)?;
-    let gemm = workloads::gemm(cfg.rows as u64, cfg.cols as u64, cfg.k);
-    let inputs = gemm.random_inputs(cfg.seed);
-    let reference = gemm
-        .execute_reference(&inputs)
-        .expect("self-generated inputs fit the kernel");
+    Ok(run_gemm_campaign_durable(cfg, &DurabilityOptions::default())?.0)
+}
 
-    let sites = enumerate_sites(&flat);
-    let faults = sample_faults(&sites, cfg.faults, cfg.seed, cycles);
-
-    let mut base = Interpreter::new(flat);
-    load_skewed_inputs(&mut base, &design, &inputs[0], &inputs[1], cfg.k as i64)?;
-    base.poke("start", 1);
-
-    let mut golden_sim = base.clone();
-    let golden = {
-        let _golden_span = tensorlib_obs::span("sim.golden_run");
-        run_round(&mut golden_sim, &design, has_tmr)
-    };
-    // The golden harvest must equal the reference execution exactly.
-    for i in 0..cfg.rows {
-        for j in 0..cfg.cols {
-            let expected = reference.get(&[i as i64, j as i64]);
-            let got = golden.c[i * cfg.cols + j];
-            if got != expected {
-                return Err(CampaignError::GoldenMismatch {
-                    row: i,
-                    col: j,
-                    expected,
-                    got,
-                });
-            }
-        }
-    }
-    // ABFT checksums from the (verified) golden result.
-    let abft_row_sums: Vec<i64> = (0..cfg.rows)
-        .map(|i| (0..cfg.cols).map(|j| golden.c[i * cfg.cols + j]).sum())
-        .collect();
-    let abft_col_sums: Vec<i64> = (0..cfg.cols)
-        .map(|j| (0..cfg.rows).map(|i| golden.c[i * cfg.cols + j]).sum())
-        .collect();
-
-    let outcomes = drive_campaign(
-        &base,
-        &design,
-        cfg,
-        has_tmr,
-        &faults,
-        &golden,
-        &abft_row_sums,
-        &abft_col_sums,
-        &DurabilityOptions::default(),
-    );
-    Ok(aggregate(&design, cfg, cycles, outcomes))
+/// The `*_acc` nets of a flattened campaign design.
+fn accumulator_nets(flat: &FlatDesign) -> Vec<String> {
+    flat.regs()
+        .iter()
+        .map(|r| flat.nets()[r.target].name.clone())
+        .filter(|n| n.ends_with("_acc"))
+        .collect()
 }
 
 /// Enumerates PE accumulator registers (`*_acc` nets) of a campaign design —
 /// the datapath state ABFT protects. Used by coverage tests and the CLI's
 /// accumulator-sweep mode.
 pub fn accumulator_sites(cfg: &CampaignConfig) -> Result<Vec<String>, CampaignError> {
-    let CampaignBase { flat, .. } = prepare(cfg)?;
-    Ok(flat
-        .regs()
-        .iter()
-        .map(|r| flat.nets()[r.target].name.clone())
-        .filter(|n| n.ends_with("_acc"))
-        .collect())
+    Ok(accumulator_nets(&prepare(cfg)?.1))
 }
 
 /// Runs the GEMM campaign over an exhaustive accumulator bit-flip sweep:
@@ -865,12 +805,7 @@ pub fn run_accumulator_sweep(
     bits: u32,
     cycle: u64,
 ) -> Result<ResilienceReport, CampaignError> {
-    let accs = accumulator_sites(cfg)?;
-    let faults: Vec<FaultSpec> = accs
-        .iter()
-        .flat_map(|net| (0..bits).map(move |b| FaultSpec::flip(net.as_str(), b, cycle)))
-        .collect();
-    run_gemm_campaign_with_faults(cfg, &faults)
+    Ok(run_accumulator_sweep_durable(cfg, bits, cycle, &DurabilityOptions::default())?.0)
 }
 
 /// [`run_gemm_campaign`] with an explicit fault list instead of seeded
@@ -883,61 +818,12 @@ pub fn run_gemm_campaign_with_faults(
     cfg: &CampaignConfig,
     faults: &[FaultSpec],
 ) -> Result<ResilienceReport, CampaignError> {
-    let CampaignBase {
-        design,
-        flat,
-        cycles,
-        has_tmr,
-    } = prepare(cfg)?;
-    let gemm = workloads::gemm(cfg.rows as u64, cfg.cols as u64, cfg.k);
-    let inputs = gemm.random_inputs(cfg.seed);
-    let reference = gemm
-        .execute_reference(&inputs)
-        .expect("self-generated inputs fit the kernel");
-    let mut base = Interpreter::new(flat);
-    load_skewed_inputs(&mut base, &design, &inputs[0], &inputs[1], cfg.k as i64)?;
-    base.poke("start", 1);
-    let mut golden_sim = base.clone();
-    let golden = {
-        let _golden_span = tensorlib_obs::span("sim.golden_run");
-        run_round(&mut golden_sim, &design, has_tmr)
-    };
-    for i in 0..cfg.rows {
-        for j in 0..cfg.cols {
-            let expected = reference.get(&[i as i64, j as i64]);
-            let got = golden.c[i * cfg.cols + j];
-            if got != expected {
-                return Err(CampaignError::GoldenMismatch {
-                    row: i,
-                    col: j,
-                    expected,
-                    got,
-                });
-            }
-        }
-    }
-    let abft_row_sums: Vec<i64> = (0..cfg.rows)
-        .map(|i| (0..cfg.cols).map(|j| golden.c[i * cfg.cols + j]).sum())
-        .collect();
-    let abft_col_sums: Vec<i64> = (0..cfg.cols)
-        .map(|j| (0..cfg.rows).map(|i| golden.c[i * cfg.cols + j]).sum())
-        .collect();
-    let outcomes = drive_campaign(
-        &base,
-        &design,
-        cfg,
-        has_tmr,
-        faults,
-        &golden,
-        &abft_row_sums,
-        &abft_col_sums,
-        &DurabilityOptions::default(),
-    );
-    Ok(aggregate(&design, cfg, cycles, outcomes))
+    let campaign = setup_gemm(cfg, FaultPlan::Explicit(faults.to_vec()))?;
+    Ok(run_chunked_campaign(&campaign, "explicit", &DurabilityOptions::default())?.0)
 }
 
 // ---------------------------------------------------------------------------
-// Durable (journaled / budget-bounded) campaign path.
+// The chunked campaign runner and its journal codec.
 // ---------------------------------------------------------------------------
 
 fn decode_fault_kind(v: &Value) -> Result<FaultKind, String> {
@@ -999,27 +885,15 @@ fn decode_outcome(v: &Value) -> Result<FaultOutcome, String> {
     })
 }
 
-/// Telemetry outcome counter for one fault-campaign chunk payload: fault
-/// classes by lowercased name (`masked` / `detected` / `sdc` / `degraded`),
-/// plus `errors` for outcomes carrying an error string and `panicked` for
-/// the quarantined-panic subset. Tolerant by design — telemetry is
-/// best-effort, so an undecodable payload counts as nothing rather than
-/// failing the campaign (replay decoding is where strictness lives).
-fn count_fault_outcomes(payload: &str) -> std::collections::BTreeMap<String, u64> {
-    let mut counts = std::collections::BTreeMap::new();
-    let Ok(doc) = tensorlib_obs::json::parse(payload) else {
-        return counts;
-    };
-    let Some(items) = doc.as_array() else {
-        return counts;
-    };
-    for item in items {
-        let class = item
-            .get("class")
-            .and_then(Value::as_str)
-            .unwrap_or("unknown");
-        *counts.entry(class.to_ascii_lowercase()).or_insert(0) += 1;
-        if let Some(error) = item.get("error").and_then(Value::as_str) {
+/// Telemetry outcome counter for one fault-campaign chunk: fault classes
+/// by name (`masked` / `detected` / `sdc` / `degraded`), plus `errors` for
+/// outcomes carrying an error string and `panicked` for the
+/// quarantined-panic subset.
+fn count_fault_outcomes(outcomes: &[FaultOutcome]) -> BTreeMap<String, u64> {
+    let mut counts = BTreeMap::new();
+    for o in outcomes {
+        *counts.entry(o.class.to_string()).or_insert(0) += 1;
+        if let Some(error) = &o.error {
             *counts.entry("errors".to_string()).or_insert(0) += 1;
             if error.contains("panicked") {
                 *counts.entry("panicked".to_string()).or_insert(0) += 1;
@@ -1060,63 +934,20 @@ fn canonical_config(cfg: &CampaignConfig, variant: &str) -> String {
     )
 }
 
-fn run_gemm_campaign_chunked(
-    cfg: &CampaignConfig,
-    faults_override: Option<Vec<FaultSpec>>,
+/// The one fault-campaign loop: splits `campaign.faults` into
+/// deterministic chunks and runs them through [`journal::run_chunked`] —
+/// in memory without `durability.dir`, journaled and resumable with it.
+/// `variant` tells apart, in the journal's config hash, campaigns whose
+/// faults come from different plans.
+fn run_chunked_campaign(
+    campaign: &Campaign,
     variant: &str,
     durability: &DurabilityOptions,
 ) -> Result<(ResilienceReport, RunStats), CampaignError> {
     let _span = tensorlib_obs::span("sim.resilience_campaign");
-    let CampaignBase {
-        design,
-        flat,
-        cycles,
-        has_tmr,
-    } = prepare(cfg)?;
-    let gemm = workloads::gemm(cfg.rows as u64, cfg.cols as u64, cfg.k);
-    let inputs = gemm.random_inputs(cfg.seed);
-    let reference = gemm
-        .execute_reference(&inputs)
-        .expect("self-generated inputs fit the kernel");
-    let faults = match faults_override {
-        Some(f) => f,
-        None => {
-            let sites = enumerate_sites(&flat);
-            sample_faults(&sites, cfg.faults, cfg.seed, cycles)
-        }
-    };
-    let mut base = Interpreter::new(flat);
-    load_skewed_inputs(&mut base, &design, &inputs[0], &inputs[1], cfg.k as i64)?;
-    base.poke("start", 1);
-    let mut golden_sim = base.clone();
-    let golden = {
-        let _golden_span = tensorlib_obs::span("sim.golden_run");
-        run_round(&mut golden_sim, &design, has_tmr)
-    };
-    for i in 0..cfg.rows {
-        for j in 0..cfg.cols {
-            let expected = reference.get(&[i as i64, j as i64]);
-            let got = golden.c[i * cfg.cols + j];
-            if got != expected {
-                return Err(CampaignError::GoldenMismatch {
-                    row: i,
-                    col: j,
-                    expected,
-                    got,
-                });
-            }
-        }
-    }
-    let abft_row_sums: Vec<i64> = (0..cfg.rows)
-        .map(|i| (0..cfg.cols).map(|j| golden.c[i * cfg.cols + j]).sum())
-        .collect();
-    let abft_col_sums: Vec<i64> = (0..cfg.cols)
-        .map(|j| (0..cfg.rows).map(|i| golden.c[i * cfg.cols + j]).sum())
-        .collect();
-
+    let Campaign { cfg, faults, .. } = campaign;
     // A chunk is a multiple of the lane width, so lane-group boundaries
-    // inside a chunk coincide with the non-chunked batched path's and the
-    // assembled outcome list is byte-identical to a single-shot run.
+    // inside a chunk coincide with those of one pass over the whole list.
     let lanes = cfg.lanes.max(1);
     let chunk_size = durability.chunk_size.unwrap_or(16 * lanes).max(1);
     let total_chunks = faults.len().div_ceil(chunk_size);
@@ -1126,36 +957,17 @@ fn run_gemm_campaign_chunked(
         total_chunks,
         &canonical_config(cfg, variant),
     );
-    let telemetry = journal::TelemetrySpec {
+    let spec = ChunkSpec {
         kind: "faults",
-        count_outcomes: &count_fault_outcomes,
+        decode: &decode_outcomes,
+        count_outcomes: &|outcomes: &Vec<FaultOutcome>| count_fault_outcomes(outcomes),
     };
-    let (slots, stats) =
-        journal::run_chunked_observed(durability, hash, total_chunks, Some(&telemetry), |i| {
-            let lo = i * chunk_size;
-            let hi = (lo + chunk_size).min(faults.len());
-            let outcomes = drive_campaign(
-                &base,
-                &design,
-                cfg,
-                has_tmr,
-                &faults[lo..hi],
-                &golden,
-                &abft_row_sums,
-                &abft_col_sums,
-                durability,
-            );
-            serde_json::to_string(&outcomes).expect("outcomes serialize")
-        })?;
-    // Completed chunks are always a prefix (chunks execute in ascending
-    // order and an interrupt stops the loop), so assembly stops at the
-    // first missing slot.
-    let mut outcomes = Vec::with_capacity(faults.len());
-    for slot in slots {
-        let Some(payload) = slot else { break };
-        outcomes.extend(decode_outcomes(&payload).map_err(JournalError::Decode)?);
-    }
-    Ok((aggregate(&design, cfg, cycles, outcomes), stats))
+    let (chunks, stats) = journal::run_chunked(durability, hash, total_chunks, &spec, |i| {
+        let lo = i * chunk_size;
+        let hi = (lo + chunk_size).min(faults.len());
+        drive_campaign(campaign, &faults[lo..hi], durability)
+    })?;
+    Ok((campaign.report(chunks.into_iter().flatten().collect()), stats))
 }
 
 /// [`run_gemm_campaign`] with campaign durability: the fault list is split
@@ -1165,8 +977,6 @@ fn run_gemm_campaign_chunked(
 /// faults are retried then quarantined, and an interrupt drains the
 /// in-flight chunk before returning a partial (but valid and resumable)
 /// report with `stats.interrupted` set.
-///
-/// With inert options this is exactly [`run_gemm_campaign`].
 ///
 /// # Errors
 ///
@@ -1178,10 +988,8 @@ pub fn run_gemm_campaign_durable(
     cfg: &CampaignConfig,
     durability: &DurabilityOptions,
 ) -> Result<(ResilienceReport, RunStats), CampaignError> {
-    if durability.is_inert() {
-        return Ok((run_gemm_campaign(cfg)?, RunStats::default()));
-    }
-    run_gemm_campaign_chunked(cfg, None, "sampled", durability)
+    let campaign = setup_gemm(cfg, FaultPlan::Sampled)?;
+    run_chunked_campaign(&campaign, "sampled", durability)
 }
 
 /// [`run_accumulator_sweep`] with campaign durability; see
@@ -1196,20 +1004,9 @@ pub fn run_accumulator_sweep_durable(
     cycle: u64,
     durability: &DurabilityOptions,
 ) -> Result<(ResilienceReport, RunStats), CampaignError> {
-    if durability.is_inert() {
-        return Ok((run_accumulator_sweep(cfg, bits, cycle)?, RunStats::default()));
-    }
-    let accs = accumulator_sites(cfg)?;
-    let faults: Vec<FaultSpec> = accs
-        .iter()
-        .flat_map(|net| (0..bits).map(move |b| FaultSpec::flip(net.as_str(), b, cycle)))
-        .collect();
-    run_gemm_campaign_chunked(
-        cfg,
-        Some(faults),
-        &format!("sweep|bits={bits}|cycle={cycle}"),
-        durability,
-    )
+    let campaign = setup_gemm(cfg, FaultPlan::AccumulatorSweep { bits, cycle })?;
+    let variant = format!("sweep|bits={bits}|cycle={cycle}");
+    run_chunked_campaign(&campaign, &variant, durability)
 }
 
 #[cfg(test)]
@@ -1319,41 +1116,34 @@ mod tests {
     }
 
     #[test]
-    fn durable_inert_path_matches_legacy_exactly() {
-        let cfg = CampaignConfig {
-            faults: 8,
-            seed: 7,
-            ..CampaignConfig::default()
-        };
-        let legacy = run_gemm_campaign(&cfg).unwrap();
-        let (durable, stats) =
-            run_gemm_campaign_durable(&cfg, &DurabilityOptions::default()).unwrap();
-        assert_eq!(legacy, durable);
-        assert_eq!(stats, RunStats::default());
-    }
-
-    #[test]
-    fn durable_chunked_report_is_byte_identical_to_single_shot() {
+    fn chunk_geometry_does_not_change_the_report() {
         let cfg = CampaignConfig {
             faults: 19,
             seed: 11,
             hardening: Hardening::full(),
             ..CampaignConfig::default()
         };
-        let single = serde_json::to_string(&run_gemm_campaign(&cfg).unwrap()).unwrap();
-        for chunk_size in [1, 4, 19, 64] {
-            let opts = DurabilityOptions {
-                chunk_size: Some(chunk_size),
-                ..DurabilityOptions::default()
-            };
-            let (report, stats) = run_gemm_campaign_durable(&cfg, &opts).unwrap();
-            assert_eq!(
-                serde_json::to_string(&report).unwrap(),
-                single,
-                "chunk_size={chunk_size}"
-            );
-            assert_eq!(stats.chunks_total, 19usize.div_ceil(chunk_size));
-            assert!(!stats.interrupted);
+        let default = serde_json::to_string(&run_gemm_campaign(&cfg).unwrap()).unwrap();
+        for lanes in [1, 4] {
+            for chunk_size in [Some(1), Some(4), Some(7), Some(19), Some(64), None] {
+                let opts = DurabilityOptions {
+                    chunk_size,
+                    ..DurabilityOptions::default()
+                };
+                let (report, stats) =
+                    run_gemm_campaign_durable(&CampaignConfig { lanes, ..cfg }, &opts).unwrap();
+                assert_eq!(
+                    serde_json::to_string(&report).unwrap(),
+                    default,
+                    "lanes={lanes} chunk_size={chunk_size:?}"
+                );
+                let size = chunk_size.unwrap_or(16 * lanes);
+                assert_eq!(stats.chunks_total, 19usize.div_ceil(size));
+                // An in-memory run executes every chunk and replays none.
+                assert_eq!(stats.chunks_executed, stats.chunks_total);
+                assert_eq!(stats.chunks_replayed, 0);
+                assert!(!stats.interrupted);
+            }
         }
     }
 
@@ -1371,7 +1161,7 @@ mod tests {
             chunk_size: Some(3),
             ..DurabilityOptions::default()
         };
-        // Full journaled run: byte-identical to the non-durable run.
+        // Full journaled run: byte-identical to the in-memory run.
         let (full, stats) = run_gemm_campaign_durable(&cfg, &opts).unwrap();
         assert_eq!(serde_json::to_string(&full).unwrap(), clean);
         assert_eq!(stats.chunks_executed, 4);

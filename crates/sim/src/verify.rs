@@ -17,12 +17,14 @@
 //! a finding always means two parts of the system disagree about an input
 //! both accepted.
 //!
-//! Campaigns parallelize over [`tensorlib_linalg::par`] with per-seed panic
-//! isolation. Findings are keyed by seed and reported in seed order, and the
+//! Campaigns run as deterministic seed chunks through
+//! [`crate::journal::run_chunked`] (in memory unless a journal directory is
+//! given) and parallelize within a chunk with per-seed panic isolation.
+//! Findings are keyed by seed and reported in seed order, and the
 //! report deliberately omits the worker count, so the serialized report is
 //! byte-identical for any `workers` setting — a property CI asserts.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::BTreeMap;
 
 use serde::Serialize;
 use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
@@ -38,11 +40,10 @@ use tensorlib_hw::interp::{elaborate_design, Interpreter};
 use tensorlib_hw::trace::TraceConfig;
 use tensorlib_hw::{ArrayConfig, HwError};
 use tensorlib_ir::{workloads, Kernel};
-use tensorlib_linalg::par::{panic_message, par_map_catch, par_map_catch_ctl, CatchOutcome, MapControl};
 use tensorlib_obs::json::Value;
 
 use crate::functional::{simulate_budgeted, SimError};
-use crate::journal::{self, DurabilityOptions, JournalError, RunStats};
+use crate::journal::{self, ChunkSpec, DurabilityOptions, ItemOutcome, JournalError, RunStats};
 use crate::trace::fill_input_banks;
 
 /// Campaign parameters shared by both fuzzing modes.
@@ -109,15 +110,18 @@ pub struct Finding {
     pub pipeline: Option<PipelineSample>,
 }
 
-/// Per-mode campaign tallies.
+/// Per-mode campaign tallies. Each journal chunk's result is one of these
+/// over the chunk's seed range; its serialization must round-trip through
+/// [`decode_verify_chunk`] byte-for-byte, which is what keeps a resumed
+/// report identical to an uninterrupted one.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ModeReport {
     /// Seeds executed.
     pub seeds_run: u64,
     /// Samples the pipeline legitimately rejected (pipeline mode only).
     pub rejected: u64,
-    /// Seeds demoted by the per-chunk watchdog before they could run
-    /// (durable campaigns only; always 0 on the legacy path).
+    /// Seeds demoted by the per-chunk watchdog (`--chunk-timeout`) before
+    /// they could run.
     pub degraded: u64,
     /// Surviving disagreements, in seed order.
     pub findings: Vec<Finding>,
@@ -191,17 +195,6 @@ fn netlist_finding(seed: u64, cfg: &VerifyConfig) -> Option<Finding> {
         rust_snippet: Some(rust_repro(&shrunk, &stop, seed, cfg.cycles)),
         pipeline: None,
     })
-}
-
-/// Runs the netlist-mode campaign: `cfg.seeds` random netlists through the
-/// full [`tensorlib_hw::fuzz`] oracle stack, shrinking every failure.
-pub fn run_netlist_campaign(cfg: &VerifyConfig) -> ModeReport {
-    let _span = tensorlib_obs::span("verify.netlist_campaign");
-    let seeds: Vec<u64> = (cfg.seed_start..cfg.seed_start + cfg.seeds).collect();
-    let results = par_map_catch(&seeds, cfg.workers.max(1), 8, |_, &seed| {
-        netlist_finding(seed, cfg)
-    });
-    collect_findings(cfg.seeds, 0, seeds, results)
 }
 
 // ---------------------------------------------------------------------------
@@ -680,49 +673,6 @@ fn opt_round(design: &AcceleratorDesign) -> Result<(), (String, String)> {
     Ok(())
 }
 
-/// Runs the pipeline-mode campaign: `cfg.seeds` sampled generation
-/// pipelines, each through design validation, the reference functional
-/// executor, and a dual-engine controller round.
-pub fn run_pipeline_campaign(cfg: &VerifyConfig) -> ModeReport {
-    let _span = tensorlib_obs::span("verify.pipeline_campaign");
-    let seeds: Vec<u64> = (cfg.seed_start..cfg.seed_start + cfg.seeds).collect();
-    let results = par_map_catch(&seeds, cfg.workers.max(1), 4, |_, &seed| {
-        match pipeline_outcome(seed, cfg.lanes, cfg.opt) {
-            PipelineOutcome::Clean => (false, None),
-            PipelineOutcome::Rejected => (true, None),
-            PipelineOutcome::Failed { kind, detail } => (
-                false,
-                Some(Finding {
-                    mode: "pipeline".into(),
-                    seed,
-                    kind,
-                    detail,
-                    shrunk_nets: None,
-                    modules_json: None,
-                    rust_snippet: None,
-                    pipeline: Some(sample_pipeline(seed)),
-                }),
-            ),
-        }
-    });
-    let mut rejected = 0u64;
-    let mut findings = Vec::new();
-    for (i, r) in results.into_iter().enumerate() {
-        match r {
-            Ok((true, _)) => rejected += 1,
-            Ok((false, Some(f))) => findings.push(f),
-            Ok((false, None)) => {}
-            Err(panic_msg) => findings.push(panic_finding("pipeline", seeds[i], panic_msg)),
-        }
-    }
-    ModeReport {
-        seeds_run: cfg.seeds,
-        rejected,
-        degraded: 0,
-        findings,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Report assembly
 // ---------------------------------------------------------------------------
@@ -740,63 +690,9 @@ fn panic_finding(mode: &str, seed: u64, msg: String) -> Finding {
     }
 }
 
-fn collect_findings(
-    seeds_run: u64,
-    rejected: u64,
-    seeds: Vec<u64>,
-    results: Vec<Result<Option<Finding>, String>>,
-) -> ModeReport {
-    let mut findings = Vec::new();
-    for (i, r) in results.into_iter().enumerate() {
-        match r {
-            Ok(Some(f)) => findings.push(f),
-            Ok(None) => {}
-            Err(panic_msg) => findings.push(panic_finding("netlist", seeds[i], panic_msg)),
-        }
-    }
-    ModeReport {
-        seeds_run,
-        rejected,
-        degraded: 0,
-        findings,
-    }
-}
-
-/// Runs the requested campaign modes and assembles the final report.
-pub fn run_verify(
-    cfg: &VerifyConfig,
-    netlist: bool,
-    pipeline: bool,
-) -> VerifyReport {
-    let netlist = netlist.then(|| run_netlist_campaign(cfg));
-    let pipeline = pipeline.then(|| run_pipeline_campaign(cfg));
-    let total_findings = netlist.as_ref().map_or(0, |m| m.findings.len())
-        + pipeline.as_ref().map_or(0, |m| m.findings.len());
-    VerifyReport {
-        seed_start: cfg.seed_start,
-        seeds: cfg.seeds,
-        cycles: cfg.cycles,
-        netlist,
-        pipeline,
-        total_findings,
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Durable (journaled) campaigns
+// The chunked campaign runner and its journal codec
 // ---------------------------------------------------------------------------
-
-/// One journal chunk's worth of fuzz results: a contiguous seed range from
-/// one mode, fully classified. Serialization must round-trip through
-/// [`decode_verify_chunk`] byte-for-byte — that is what keeps a resumed
-/// report identical to an uninterrupted one.
-#[derive(Serialize)]
-struct VerifyChunk {
-    seeds_run: u64,
-    rejected: u64,
-    degraded: u64,
-    findings: Vec<Finding>,
-}
 
 /// Canonical config string for journal keying: the serialized config with
 /// the worker count zeroed (resuming with a different `--workers` is legal —
@@ -815,97 +711,67 @@ fn canonical_verify_config(cfg: &VerifyConfig, netlist: bool, pipeline: bool) ->
     )
 }
 
-/// Runs the seeds `lo..hi` of one mode under the durability policy:
-/// chunk-wide watchdog deadline (late seeds demote to `degraded`), bounded
-/// serial retries for panicking seeds before the panic is quarantined as a
-/// `kind: "panic"` finding, and the chaos hook for fault-injection tests.
+/// Runs the seeds `lo..hi` of one mode under the campaign policy of
+/// [`journal::run_items`]: seeds not started before the chunk watchdog
+/// fires count as `degraded`, and a seed that still panics after its serial
+/// retries is quarantined as a `kind: "panic"` finding.
 fn run_seed_chunk(
     cfg: &VerifyConfig,
     netlist_mode: bool,
     lo: u64,
     hi: u64,
     durability: &DurabilityOptions,
-) -> VerifyChunk {
+) -> ModeReport {
     let mode = if netlist_mode { "netlist" } else { "pipeline" };
     let seeds: Vec<u64> = (lo..hi).collect();
-    let ctl = MapControl {
-        deadline: durability.chunk_deadline(),
-        cancel: None,
-    };
-    // `(rejected, finding)` mirrors the legacy pipeline tuple; netlist mode
-    // never rejects.
-    let run_seed = |seed: u64| -> (bool, Option<Finding>) {
-        durability.chaos_check(&format!("{mode}:{seed}"));
+    // `(rejected, finding)`; netlist mode never rejects.
+    let run_seed = |&seed: &u64| -> (bool, Option<Finding>) {
         if netlist_mode {
-            (false, netlist_finding(seed, cfg))
-        } else {
-            match pipeline_outcome(seed, cfg.lanes, cfg.opt) {
-                PipelineOutcome::Clean => (false, None),
-                PipelineOutcome::Rejected => (true, None),
-                PipelineOutcome::Failed { kind, detail } => (
-                    false,
-                    Some(Finding {
-                        mode: "pipeline".into(),
-                        seed,
-                        kind,
-                        detail,
-                        shrunk_nets: None,
-                        modules_json: None,
-                        rust_snippet: None,
-                        pipeline: Some(sample_pipeline(seed)),
-                    }),
-                ),
-            }
+            return (false, netlist_finding(seed, cfg));
+        }
+        match pipeline_outcome(seed, cfg.lanes, cfg.opt) {
+            PipelineOutcome::Clean => (false, None),
+            PipelineOutcome::Rejected => (true, None),
+            PipelineOutcome::Failed { kind, detail } => (
+                false,
+                Some(Finding {
+                    mode: "pipeline".into(),
+                    seed,
+                    kind,
+                    detail,
+                    shrunk_nets: None,
+                    modules_json: None,
+                    rust_snippet: None,
+                    pipeline: Some(sample_pipeline(seed)),
+                }),
+            ),
         }
     };
     let par_chunk = if netlist_mode { 8 } else { 4 };
-    let results = par_map_catch_ctl(&seeds, cfg.workers.max(1), par_chunk, ctl, |_, &seed| {
-        run_seed(seed)
-    });
-    let mut out = VerifyChunk {
+    let outcomes = journal::run_items(
+        &seeds,
+        cfg.workers.max(1),
+        par_chunk,
+        durability,
+        |seed| vec![format!("{mode}:{seed}")],
+        run_seed,
+    );
+    let mut out = ModeReport {
         seeds_run: seeds.len() as u64,
         rejected: 0,
         degraded: 0,
         findings: Vec::new(),
     };
-    for (i, r) in results.into_iter().enumerate() {
-        let seed = seeds[i];
-        let resolved = match r {
-            CatchOutcome::Skipped => {
-                out.degraded += 1;
-                continue;
-            }
-            CatchOutcome::Done(x) => Some(x),
-            CatchOutcome::Panicked(first) => {
-                // Bounded serial retries: a flaky panic may clear, a
-                // deterministic one is quarantined and the campaign goes on.
-                let attempts = durability.panic_attempts();
-                let mut msg = first;
-                let mut retried = None;
-                for _ in 1..attempts {
-                    match catch_unwind(AssertUnwindSafe(|| run_seed(seed))) {
-                        Ok(x) => {
-                            retried = Some(x);
-                            break;
-                        }
-                        Err(payload) => msg = panic_message(payload),
-                    }
-                }
-                if retried.is_none() {
-                    let detail = if attempts > 1 {
-                        format!("quarantined after {attempts} attempts: {msg}")
-                    } else {
-                        msg
-                    };
-                    out.findings.push(panic_finding(mode, seed, detail));
-                }
-                retried
-            }
-        };
-        match resolved {
-            Some((true, _)) => out.rejected += 1,
-            Some((false, Some(f))) => out.findings.push(f),
-            Some((false, None)) | None => {}
+    for (o, &seed) in outcomes.into_iter().zip(&seeds) {
+        match o {
+            ItemOutcome::Done((true, _)) => out.rejected += 1,
+            ItemOutcome::Done((false, finding)) => out.findings.extend(finding),
+            ItemOutcome::Degraded => out.degraded += 1,
+            ItemOutcome::Quarantined { attempts, message } => out.findings.push(panic_finding(
+                mode,
+                seed,
+                journal::quarantine_detail(attempts, message),
+            )),
         }
     }
     out
@@ -978,58 +844,53 @@ fn decode_finding(v: &Value) -> Result<Finding, String> {
 }
 
 /// Decodes one journaled chunk payload. Inverse of
-/// `serde_json::to_string(&VerifyChunk)`.
-fn decode_verify_chunk(payload: &str) -> Result<(u64, u64, u64, Vec<Finding>), String> {
+/// `serde_json::to_string(&ModeReport)`.
+fn decode_verify_chunk(payload: &str) -> Result<ModeReport, String> {
     let doc = tensorlib_obs::json::parse(payload)?;
-    Ok((
-        journal::field_u64(&doc, "seeds_run")?,
-        journal::field_u64(&doc, "rejected")?,
-        journal::field_u64(&doc, "degraded")?,
-        journal::field_array(&doc, "findings")?
+    Ok(ModeReport {
+        seeds_run: journal::field_u64(&doc, "seeds_run")?,
+        rejected: journal::field_u64(&doc, "rejected")?,
+        degraded: journal::field_u64(&doc, "degraded")?,
+        findings: journal::field_array(&doc, "findings")?
             .iter()
             .map(decode_finding)
             .collect::<Result<Vec<Finding>, String>>()?,
-    ))
+    })
 }
 
-/// Telemetry outcome counter for one fuzz chunk payload: seeds run,
-/// rejected and degraded seeds, findings, plus the `panicked` subset of
-/// findings (quarantined panics surface as `kind: "panic"`). Tolerant by
-/// design — telemetry is best-effort, so an undecodable payload counts as
-/// nothing (replay decoding is where strictness lives).
-fn count_verify_outcomes(payload: &str) -> std::collections::BTreeMap<String, u64> {
-    let mut counts = std::collections::BTreeMap::new();
-    let Ok(doc) = tensorlib_obs::json::parse(payload) else {
-        return counts;
-    };
-    for key in ["seeds_run", "rejected", "degraded"] {
-        if let Some(n) = doc.get(key).and_then(Value::as_u64) {
-            *counts.entry(key.to_string()).or_insert(0) += n;
-        }
-    }
-    if let Some(findings) = doc.get("findings").and_then(Value::as_array) {
-        *counts.entry("findings".to_string()).or_insert(0) += findings.len() as u64;
-        let panicked = findings
-            .iter()
-            .filter(|f| f.get("kind").and_then(Value::as_str) == Some("panic"))
-            .count() as u64;
-        if panicked > 0 {
-            *counts.entry("panicked".to_string()).or_insert(0) += panicked;
-        }
+/// Telemetry outcome counter for one fuzz chunk: seeds run, rejected and
+/// degraded seeds, findings, plus the `panicked` subset of findings
+/// (quarantined panics surface as `kind: "panic"`).
+fn count_verify_outcomes(chunk: &ModeReport) -> BTreeMap<String, u64> {
+    let mut counts = BTreeMap::from([
+        ("seeds_run".to_string(), chunk.seeds_run),
+        ("rejected".to_string(), chunk.rejected),
+        ("degraded".to_string(), chunk.degraded),
+        ("findings".to_string(), chunk.findings.len() as u64),
+    ]);
+    let panicked = chunk.findings.iter().filter(|f| f.kind == "panic").count() as u64;
+    if panicked > 0 {
+        counts.insert("panicked".to_string(), panicked);
     }
     counts
 }
 
-/// [`run_verify`] with campaign durability: each enabled mode's seed range
-/// is split into deterministic chunks (netlist chunks first, then pipeline,
-/// sharing one journal), completed chunks are journaled to `durability.dir`
-/// (when set) and replayed on resume, the per-chunk watchdog demotes late
-/// seeds to the `degraded` tally, panicking seeds are retried then
-/// quarantined as `kind: "panic"` findings, and an interrupt drains the
-/// in-flight chunk before returning a partial (but valid and resumable)
-/// report with `stats.interrupted` set.
-///
-/// With inert options this is exactly [`run_verify`].
+/// Runs the requested campaign modes in memory and assembles the final
+/// report: [`run_verify_durable`] with default options.
+pub fn run_verify(cfg: &VerifyConfig, netlist: bool, pipeline: bool) -> VerifyReport {
+    run_verify_durable(cfg, netlist, pipeline, &DurabilityOptions::default())
+        .expect("a campaign without a journal cannot fail")
+        .0
+}
+
+/// Runs the requested campaign modes through the chunked runner: each
+/// enabled mode's seed range is split into deterministic chunks (netlist
+/// chunks first, then pipeline, sharing one journal), completed chunks are
+/// journaled to `durability.dir` (when set) and replayed on resume, the
+/// per-chunk watchdog demotes late seeds to the `degraded` tally, panicking
+/// seeds are retried then quarantined as `kind: "panic"` findings, and an
+/// interrupt drains the in-flight chunk before returning a partial (but
+/// valid and resumable) report with `stats.interrupted` set.
 ///
 /// # Errors
 ///
@@ -1041,10 +902,7 @@ pub fn run_verify_durable(
     pipeline: bool,
     durability: &DurabilityOptions,
 ) -> Result<(VerifyReport, RunStats), JournalError> {
-    if durability.is_inert() {
-        return Ok((run_verify(cfg, netlist, pipeline), RunStats::default()));
-    }
-    let _span = tensorlib_obs::span("verify.durable_campaign");
+    let _span = tensorlib_obs::span("verify.campaign");
     let chunk_size = durability.chunk_size.unwrap_or(16).max(1) as u64;
     let mode_chunks = cfg.seeds.div_ceil(chunk_size);
     let netlist_chunks = if netlist { mode_chunks } else { 0 };
@@ -1056,11 +914,12 @@ pub fn run_verify_durable(
         total,
         &canonical_verify_config(cfg, netlist, pipeline),
     );
-    let telemetry = journal::TelemetrySpec {
+    let spec = ChunkSpec {
         kind: "fuzz",
+        decode: &decode_verify_chunk,
         count_outcomes: &count_verify_outcomes,
     };
-    let (slots, stats) = journal::run_chunked_observed(durability, hash, total, Some(&telemetry), |i| {
+    let (chunks, stats) = journal::run_chunked(durability, hash, total, &spec, |i| {
         let i = i as u64;
         let (netlist_mode, ci) = if i < netlist_chunks {
             (true, i)
@@ -1069,8 +928,7 @@ pub fn run_verify_durable(
         };
         let lo = cfg.seed_start + ci * chunk_size;
         let hi = (lo + chunk_size).min(cfg.seed_start + cfg.seeds);
-        let chunk = run_seed_chunk(cfg, netlist_mode, lo, hi, durability);
-        serde_json::to_string(&chunk).expect("verify chunk serializes")
+        run_seed_chunk(cfg, netlist_mode, lo, hi, durability)
     })?;
     let empty_mode = || ModeReport {
         seeds_run: 0,
@@ -1080,22 +938,17 @@ pub fn run_verify_durable(
     };
     let mut netlist_report = netlist.then(empty_mode);
     let mut pipeline_report = pipeline.then(empty_mode);
-    for (i, slot) in slots.iter().enumerate() {
-        // Completed chunks are always a prefix (the executor runs missing
-        // chunks in ascending order), so the first hole ends the report.
-        let Some(payload) = slot else { break };
-        let (seeds_run, rejected, degraded, findings) =
-            decode_verify_chunk(payload).map_err(JournalError::Decode)?;
+    for (i, chunk) in chunks.into_iter().enumerate() {
         let target = if (i as u64) < netlist_chunks {
             netlist_report.as_mut()
         } else {
             pipeline_report.as_mut()
         };
         let m = target.expect("chunk index maps to an enabled mode");
-        m.seeds_run += seeds_run;
-        m.rejected += rejected;
-        m.degraded += degraded;
-        m.findings.extend(findings);
+        m.seeds_run += chunk.seeds_run;
+        m.rejected += chunk.rejected;
+        m.degraded += chunk.degraded;
+        m.findings.extend(chunk.findings);
     }
     let total_findings = netlist_report.as_ref().map_or(0, |m| m.findings.len())
         + pipeline_report.as_ref().map_or(0, |m| m.findings.len());
@@ -1122,7 +975,7 @@ mod tests {
             seeds: 40,
             ..VerifyConfig::default()
         };
-        let report = run_netlist_campaign(&cfg);
+        let report = run_verify(&cfg, true, false).netlist.unwrap();
         assert_eq!(report.seeds_run, 40);
         assert!(
             report.findings.is_empty(),
@@ -1138,7 +991,7 @@ mod tests {
             workers: 2,
             ..VerifyConfig::default()
         };
-        let report = run_pipeline_campaign(&cfg);
+        let report = run_verify(&cfg, false, true).pipeline.unwrap();
         assert!(
             report.findings.is_empty(),
             "unexpected findings: {:?}",
@@ -1185,31 +1038,24 @@ mod tests {
     }
 
     #[test]
-    fn durable_inert_path_matches_legacy_exactly() {
+    fn chunk_geometry_does_not_change_the_report() {
         let cfg = small_cfg();
-        let legacy = run_verify(&cfg, true, false);
-        let (durable, stats) =
-            run_verify_durable(&cfg, true, false, &DurabilityOptions::default()).unwrap();
-        assert_eq!(durable, legacy);
-        assert_eq!(stats, RunStats::default());
-    }
-
-    #[test]
-    fn durable_chunked_report_is_byte_identical_to_single_shot() {
-        let cfg = small_cfg();
-        let single = serde_json::to_string(&run_verify(&cfg, true, true)).unwrap();
-        for chunk_size in [1, 4, 16] {
+        let mut reports = Vec::new();
+        for chunk_size in [Some(1), Some(4), Some(7), Some(16), None] {
             let durability = DurabilityOptions {
-                chunk_size: Some(chunk_size),
+                chunk_size,
                 ..DurabilityOptions::default()
             };
             let (report, stats) = run_verify_durable(&cfg, true, true, &durability).unwrap();
-            assert_eq!(
-                serde_json::to_string(&report).unwrap(),
-                single,
-                "chunk size {chunk_size} changed the report bytes"
-            );
-            assert_eq!(stats.chunks_executed, stats.chunks_total);
+            // An in-memory run executes every chunk and replays none.
+            assert_eq!(stats.chunks_executed, stats.chunks_total, "{chunk_size:?}");
+            assert_eq!(stats.chunks_replayed, 0, "{chunk_size:?}");
+            reports.push((chunk_size, serde_json::to_string(&report).unwrap()));
+        }
+        let (_, default) = reports.last().unwrap();
+        assert_eq!(*default, serde_json::to_string(&run_verify(&cfg, true, true)).unwrap());
+        for (chunk_size, report) in &reports {
+            assert_eq!(report, default, "chunk size {chunk_size:?} changed the report bytes");
         }
     }
 

@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 # perfgate) stale and every smoke below would run against old bits.
 cargo build --release --workspace
 cargo test -q
+# Unit tests of the campaign crates (journal torn-tail and config drift, the
+# interrupt latch model, durable resume, explore). Not yet --workspace: the
+# tensorlib-linalg recorder test is flaky under parallel test threads.
+cargo test -q -p tensorlib-sim -p tensorlib
 cargo clippy -q --all-targets -- -D warnings
 
 # Observability battery (all are part of `cargo test` above; re-run by name).

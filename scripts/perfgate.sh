@@ -10,7 +10,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release
+# --workspace builds the perfgate binary too; the umbrella package alone
+# would leave ./target/release/perfgate stale or missing.
+cargo build --release --workspace
 cargo test -q
 
 if [ -f BENCH_perfgate.json ]; then

@@ -117,9 +117,12 @@ fn fuzz_verify_report_resumes_byte_identically_after_a_crash() {
 fn explore_sweep_resumes_byte_identically_after_a_crash() {
     let kernel = workloads::gemm(16, 16, 16);
     let opts = ExploreOptions::default();
-    // Inert durability short-circuits to the legacy sweep — the golden run.
-    let (golden_report, _) =
+    // The in-memory run (no journal directory) is the golden run: it
+    // executes every chunk and replays none.
+    let (golden_report, stats) =
         explore_durable(&kernel, &opts, &DurabilityOptions::default()).unwrap();
+    assert_eq!(stats.chunks_executed, stats.chunks_total);
+    assert_eq!(stats.chunks_replayed, 0);
     let golden = serde_json::to_string_pretty(&golden_report).unwrap();
     let dir = tmpdir("explore_crash");
     let durability = DurabilityOptions {

@@ -146,3 +146,41 @@ fn sweep_trace_is_well_formed_and_covers_the_pipeline() {
         "stable worker labels missing: {thread_names:?}"
     );
 }
+
+/// `tensorlib profile` lists phases heaviest first, so the default `--top`
+/// keeps the phase that dominates a verified sweep (`sim.functional`) and
+/// says how many lighter phases it left out.
+#[test]
+fn profile_table_keeps_the_dominant_phase_at_the_default_top() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = std::env::temp_dir().join(format!("tl_it_profile_top_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("p.trace.json");
+    let args: Vec<String> = ["profile", "gemm:8,8,8", "-o", trace.to_str().unwrap()]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let out = tensorlib_cli::run(tensorlib_cli::parse_args(&args).unwrap()).unwrap();
+    let rows: Vec<(&str, u64)> = out
+        .lines()
+        .skip_while(|l| !l.starts_with("phase "))
+        .skip(1)
+        .take_while(|l| !l.starts_with("counter ") && !l.starts_with('…'))
+        .map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            (cols[0], cols[2].parse().unwrap())
+        })
+        .collect();
+    assert!(
+        rows.iter().any(|(name, _)| *name == "sim.functional"),
+        "no sim.functional row:\n{out}"
+    );
+    assert!(
+        rows.windows(2).all(|w| w[0].1 >= w[1].1),
+        "phases not sorted by total time:\n{out}"
+    );
+    assert_eq!(rows.len(), 10, "default --top is 10:\n{out}");
+    assert!(out.contains("… and "), "truncation not reported:\n{out}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -3,10 +3,11 @@
 //! survive a panicking candidate and a budget-blowing candidate with typed
 //! per-point errors instead of a crashed (or silently shortened) result.
 
-use tensorlib::explore::{explore_outcome, ExploreOptions, PointError};
+use tensorlib::explore::{explore_durable, explore_outcome, ExploreOptions, PointError};
 use tensorlib::ir::workloads;
 use tensorlib_hw::fault::Hardening;
 use tensorlib_sim::resilience::{run_gemm_campaign, CampaignConfig, FaultClass};
+use tensorlib_sim::DurabilityOptions;
 
 /// Satellite 5: the same seed produces the *serialized-byte-identical*
 /// report for one worker and for many. Struct equality is checked in the
@@ -87,10 +88,10 @@ fn hardening_turns_sdc_into_detections() {
     );
 }
 
-/// Acceptance criterion: an explore() run containing a deliberately
-/// panicking candidate and a budget-exceeding candidate completes, and both
-/// failures surface as typed per-point errors. No candidate is silently
-/// dropped: points + errors + skipped covers the whole enumeration.
+/// Acceptance criterion: a sweep containing a deliberately panicking
+/// candidate and budget-exceeding candidates completes, and both failures
+/// surface as typed per-point errors. No candidate is silently dropped:
+/// rows + errors + skipped covers the whole enumeration.
 #[test]
 fn explore_isolates_panics_and_budget_blowouts_as_typed_errors() {
     let kernel = workloads::gemm(8, 8, 8);
@@ -105,69 +106,57 @@ fn explore_isolates_panics_and_budget_blowouts_as_typed_errors() {
     let median = baseline.points[baseline.points.len() / 2]
         .performance
         .total_cycles;
-    let chaos = ExploreOptions {
-        chaos_panic_names: vec![victim.clone()],
+    let budgeted = ExploreOptions {
         cycle_budget: Some(median),
         ..ExploreOptions::default()
     };
-    let outcome = explore_outcome(&kernel, &chaos);
+    let chaos = DurabilityOptions {
+        chaos_panic_targets: vec![victim.clone()],
+        ..DurabilityOptions::default()
+    };
+    let (sweep, _) = explore_durable(&kernel, &budgeted, &chaos).unwrap();
 
     assert_eq!(
-        outcome.points.len() + outcome.errors.len() + outcome.skipped,
+        sweep.rows.len() + sweep.errors.len() + sweep.skipped as usize,
         total,
         "a failing candidate stole another candidate's slot"
     );
+    assert_eq!(sweep.degraded, 0);
     assert!(
-        outcome.errors.iter().any(|e| matches!(
+        sweep.errors.iter().any(|e| matches!(
             e,
             PointError::Panicked { name, message }
                 if *name == victim && message.contains("chaos hook")
         )),
         "panicking candidate missing from errors: {:?}",
-        outcome.errors
+        sweep.errors
     );
     assert!(
-        outcome.errors.iter().any(|e| matches!(
+        sweep.errors.iter().any(|e| matches!(
             e,
             PointError::BudgetExceeded { budget, needed, .. }
                 if *budget == median && *needed > *budget
         )),
         "budget-exceeding candidate missing from errors: {:?}",
-        outcome.errors
+        sweep.errors
     );
     assert!(
-        !outcome.points.is_empty(),
+        !sweep.rows.is_empty(),
         "the surviving candidates must still be scored"
     );
     assert!(
-        outcome
-            .points
-            .iter()
-            .all(|p| p.performance.total_cycles <= median),
+        sweep.rows.iter().all(|r| r.total_cycles <= median),
         "a point over budget slipped through"
     );
 
     // The chaotic sweep is still deterministic across worker counts.
-    let serial = explore_outcome(
-        &kernel,
-        &ExploreOptions {
-            workers: 1,
-            ..chaos.clone()
-        },
-    );
-    let wide = explore_outcome(
-        &kernel,
-        &ExploreOptions {
-            workers: 4,
-            ..chaos
-        },
-    );
-    assert_eq!(
-        serde_json::to_string(&serial.errors).unwrap(),
-        serde_json::to_string(&wide.errors).unwrap()
-    );
-    assert_eq!(
-        serial.points.iter().map(|p| &p.name).collect::<Vec<_>>(),
-        wide.points.iter().map(|p| &p.name).collect::<Vec<_>>()
-    );
+    let run = |workers| {
+        let opts = ExploreOptions {
+            workers,
+            ..budgeted.clone()
+        };
+        let (sweep, _) = explore_durable(&kernel, &opts, &chaos).unwrap();
+        serde_json::to_string(&sweep).unwrap()
+    };
+    assert_eq!(run(1), run(4));
 }
