@@ -3,17 +3,20 @@
 //! Times (a) netlist-interpreter throughput — compiled bytecode vs the
 //! tree-walking reference — stepping a 4×4 output-stationary GEMM array,
 //! (b) the batched lane engine against the scalar path on a fault-campaign
-//! workload, and (c) full [`explore`] wall-time on GEMM-32, serial vs the
-//! worker pool. Writes `BENCH_perfgate.json` at the repository root.
+//! workload, (c) full [`explore`] wall-time on GEMM-32, serial vs the
+//! worker pool, and (d) functional-executor MAC/s on a fixed verified GEMM
+//! sweep. Writes `BENCH_perfgate.json` at the repository root.
 //!
 //! With `--check-against <path>` the run additionally compares its compiled
-//! interpreter throughput to the baseline report at `<path>` and exits
-//! non-zero on a regression of more than 20% — see `scripts/perfgate.sh`.
+//! interpreter throughput and its functional-executor throughput to the
+//! baseline report at `<path>` and exits non-zero on a regression of more
+//! than 20% in either — see `scripts/perfgate.sh`.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use serde::Serialize;
+use tensorlib::dataflow::dse::{design_space, DseConfig};
 use tensorlib::dataflow::{Dataflow, LoopSelection, Stt};
 use tensorlib::explore::{explore, ExploreOptions};
 use tensorlib::hw::batch::BatchSim;
@@ -21,12 +24,17 @@ use tensorlib::hw::design::{generate, HwConfig};
 use tensorlib::hw::interp::{elaborate_design, FlatDesign, Interpreter};
 use tensorlib::hw::ArrayConfig;
 use tensorlib::ir::workloads;
+use tensorlib::sim::functional::{self, Golden};
 use tensorlib::TraceConfig;
 use tensorlib_bench::TextTable;
 
-/// Regression threshold for `--check-against`: fail if compiled throughput
-/// drops below 80% of the baseline.
+/// Regression threshold for `--check-against`: fail if compiled-interpreter
+/// or functional-executor throughput drops below 80% of the baseline.
 const REGRESSION_FLOOR: f64 = 0.8;
+
+/// Timed passes of the functional-executor sweep; the reported throughput
+/// is the median pass. Odd so the median is a true middle element.
+const FUNCTIONAL_ITERATIONS: usize = 9;
 
 /// Observability must be pay-for-use: with tracing disabled the interpreter
 /// may cost at most this much relative to one without the hooks.
@@ -155,6 +163,7 @@ struct PerfGateReport {
     batch_sim: BatchSimReport,
     obs_overhead: ObsOverheadReport,
     explore: ExploreReport,
+    functional: FunctionalReport,
     opt: OptReport,
     journal: JournalOverheadReport,
     telemetry: TelemetryOverheadReport,
@@ -340,6 +349,22 @@ struct ExploreReport {
     /// `Some` when the parallel-speedup gate was skipped (single-core host:
     /// serial and parallel sweeps are expected to tie); `null` when the
     /// gate ran. Uniform [`GateSkip`] shape.
+    skipped: Option<GateSkip>,
+}
+
+#[derive(Serialize)]
+struct FunctionalReport {
+    scenario: String,
+    designs: usize,
+    iterations: usize,
+    /// MACs one pass over every design executes.
+    macs_per_pass: u64,
+    /// Median executor throughput over [`FUNCTIONAL_ITERATIONS`] passes.
+    functional_macs_per_sec: f64,
+    /// The baseline's figure, when the regression gate ran against one.
+    baseline_macs_per_sec: Option<f64>,
+    /// `Some` when the regression gate was skipped (no baseline, or a
+    /// baseline without this figure).
     skipped: Option<GateSkip>,
 }
 
@@ -725,6 +750,59 @@ fn bench_explore(host_cores: usize) -> ExploreReport {
     }
 }
 
+/// Functional-executor throughput: every implementable design of GEMM
+/// 16×16×8's space on a 4×4 array (the repo benchmark's `verify-gemm`
+/// sweep), each checked bit-exactly against one shared [`Golden`]. Design
+/// generation is outside the timed passes. `baseline` is the report the
+/// regression gate compares against, when there is one.
+fn bench_functional(baseline: Option<&str>) -> FunctionalReport {
+    let kernel = workloads::gemm(16, 16, 8);
+    let hw = HwConfig {
+        array: ArrayConfig::square(4),
+        ..HwConfig::default()
+    };
+    let designs: Vec<_> = design_space(&kernel, &DseConfig::default())
+        .iter()
+        .filter_map(|df| generate(df, &hw).ok())
+        .collect();
+    let golden = Golden::new(&kernel, 42);
+    let pass = || -> u64 {
+        designs
+            .iter()
+            .map(|d| {
+                functional::simulate_against(d, &kernel, None, || &golden)
+                    .expect("every generated GEMM design matches the reference")
+                    .macs_executed
+            })
+            .sum()
+    };
+    let macs_per_pass = pass();
+    let mut rates: Vec<f64> = (0..FUNCTIONAL_ITERATIONS)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(pass());
+            macs_per_pass as f64 / start.elapsed().as_secs_f64()
+        })
+        .collect();
+    let functional_macs_per_sec = median(&mut rates);
+    let base_rate = baseline.and_then(|b| extract_number(b, "functional_macs_per_sec"));
+    let skip = |reason: String| Some(GateSkip { reason });
+    let skipped = match (baseline, base_rate) {
+        (None, _) => skip("no readable baseline to gate against".into()),
+        (Some(_), None) => skip("baseline has no functional_macs_per_sec".into()),
+        _ => None,
+    };
+    FunctionalReport {
+        scenario: "GEMM 16x16x8 design space on a 4x4 array, one shared golden".into(),
+        designs: designs.len(),
+        iterations: FUNCTIONAL_ITERATIONS,
+        macs_per_pass,
+        functional_macs_per_sec,
+        baseline_macs_per_sec: base_rate.filter(|_| skipped.is_none()),
+        skipped,
+    }
+}
+
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
@@ -1095,12 +1173,33 @@ fn main() {
 
     let t_main = Instant::now();
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Read up front: the functional section records whether its gate ran.
+    // Never compare against a report written by a *newer* schema — the
+    // numbers may not mean what this binary thinks they mean. A baseline
+    // predating schema stamps is accepted as version 0.
+    let baseline = baseline_path.and_then(|path| {
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            eprintln!(
+                "warning: baseline {} not readable; skipping regression gates",
+                path.display()
+            );
+            return None;
+        };
+        match tensorlib_obs::check_schema_version(&text) {
+            Ok(_) | Err(tensorlib_obs::SchemaError::Missing) => Some((path, text)),
+            Err(err @ tensorlib_obs::SchemaError::TooNew { .. }) => {
+                eprintln!("FAIL: baseline {}: {err}", path.display());
+                std::process::exit(1);
+            }
+        }
+    });
     let interpreter = bench_interpreter();
     let trace_overhead = bench_trace_overhead();
     let fault_overhead = bench_fault_overhead();
     let batch_sim = bench_batch_sim();
     let obs_overhead = bench_obs_overhead();
     let explore_report = bench_explore(host_cores);
+    let functional_report = bench_functional(baseline.as_ref().map(|(_, text)| text.as_str()));
     let opt_report = bench_opt();
     let journal_report = bench_journal_overhead();
     let telemetry_report = bench_telemetry_overhead();
@@ -1168,6 +1267,13 @@ fn main() {
         format!("{:.2}x", explore_report.speedup),
     ]);
     table.row(vec![
+        format!(
+            "functional executor ({} designs, MAC/s)",
+            functional_report.designs
+        ),
+        format!("{:.0}", functional_report.functional_macs_per_sec),
+    ]);
+    table.row(vec![
         "opt plain GEMM (ops/cycle)".into(),
         format!(
             "{} -> {} ({:.1}%)",
@@ -1228,6 +1334,7 @@ fn main() {
         batch_sim,
         obs_overhead,
         explore: explore_report,
+        functional: functional_report,
         opt: opt_report,
         journal: journal_report,
         telemetry: telemetry_report,
@@ -1291,6 +1398,27 @@ fn main() {
                 report.explore.host_cores
             );
         }
+    }
+
+    let functional = &report.functional;
+    if let Some(skip) = &functional.skipped {
+        println!("functional gate skipped: {}", skip.reason);
+    } else if let Some(base_rate) = functional.baseline_macs_per_sec {
+        let current = functional.functional_macs_per_sec;
+        let ratio = current / base_rate;
+        if ratio < REGRESSION_FLOOR {
+            eprintln!(
+                "FAIL: functional executor throughput {current:.0} MAC/s is {:.1}% of the \
+                 baseline's {base_rate:.0} (floor {:.0}%)",
+                ratio * 100.0,
+                REGRESSION_FLOOR * 100.0
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "functional gate passed: {current:.0} vs baseline {base_rate:.0} MAC/s ({:.1}% of baseline)",
+            ratio * 100.0
+        );
     }
 
     let obs_pct = report.obs_overhead.disabled_estimated_overhead_pct;
@@ -1413,24 +1541,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = baseline_path {
-        let Ok(baseline) = std::fs::read_to_string(&path) else {
-            eprintln!(
-                "warning: baseline {} not readable; skipping regression gate",
-                path.display()
-            );
-            return;
-        };
-        // Never compare against a report written by a *newer* schema — the
-        // numbers may not mean what this binary thinks they mean. A baseline
-        // predating schema stamps is accepted as version 0.
-        match tensorlib_obs::check_schema_version(&baseline) {
-            Ok(_) | Err(tensorlib_obs::SchemaError::Missing) => {}
-            Err(err @ tensorlib_obs::SchemaError::TooNew { .. }) => {
-                eprintln!("FAIL: baseline {}: {err}", path.display());
-                std::process::exit(1);
-            }
-        }
+    if let Some((path, baseline)) = baseline {
         let Some(base_rate) = extract_number(&baseline, "compiled_cycles_per_sec") else {
             eprintln!(
                 "warning: baseline {} has no compiled_cycles_per_sec; skipping regression gate",

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::Serialize;
 use tensorlib_cost::{asic_cost, Activity, AsicReport};
@@ -11,10 +12,11 @@ use tensorlib_hw::design::{generate, HwConfig};
 use tensorlib_hw::fault::Hardening;
 use tensorlib_ir::Kernel;
 use tensorlib_obs::json::Value;
+use tensorlib_sim::functional::{self, Golden};
 use tensorlib_sim::journal::{
     self, ChunkSpec, DurabilityOptions, ItemOutcome, JournalError, RunStats,
 };
-use tensorlib_sim::{functional, perf, SimConfig, SimError, SimReport};
+use tensorlib_sim::{perf, SimConfig, SimError, SimReport};
 
 /// One scored point of the design space.
 #[derive(Debug, Clone, Serialize)]
@@ -197,7 +199,8 @@ pub fn explore_outcome(kernel: &Kernel, opts: &ExploreOptions) -> ExploreOutcome
     // One pass over every job rather than 32-candidate chunks: nothing is
     // journaled here, and a single parallel map keeps every worker busy to
     // the end of the sweep. Without a chunk timeout nothing is degraded.
-    let (mut outcome, _) = score_jobs(kernel, opts, &jobs, &DurabilityOptions::default());
+    let golden = OnceLock::new();
+    let (mut outcome, _) = score_jobs(kernel, opts, &jobs, &DurabilityOptions::default(), &golden);
     tensorlib_obs::counter_add("explore.points", outcome.points.len() as u64);
     tensorlib_obs::counter_add("explore.errors", outcome.errors.len() as u64);
     tensorlib_obs::counter_add("explore.skipped", outcome.skipped as u64);
@@ -236,11 +239,16 @@ fn explore_jobs<'a>(
 /// panic quarantine, chaos hook). Returns the jobs split by fate, each list
 /// in enumeration order for any worker count (`points` unsorted), plus the
 /// count of jobs the chunk watchdog demoted before they started.
+///
+/// `golden` is the sweep's one functional-verification [`Golden`]: empty
+/// until the first candidate that passes the cycle budget fills it, and
+/// never filled when `functional_verify` is off.
 fn score_jobs(
     kernel: &Kernel,
     opts: &ExploreOptions,
     jobs: &[(&Dataflow, Hardening)],
     durability: &DurabilityOptions,
+    golden: &OnceLock<Golden>,
 ) -> (ExploreOutcome, u64) {
     // Scoring a candidate (hardware generation + cycle model + cost model)
     // is orders of magnitude heavier than the queue bookkeeping, so workers
@@ -255,7 +263,7 @@ fn score_jobs(
         |&(df, h)| {
             let _point_span = tensorlib_obs::span("explore.point");
             let t0 = tensorlib_obs::is_enabled().then(tensorlib_obs::now_micros);
-            let result = score(kernel, opts, df, h);
+            let result = score(kernel, opts, df, h, golden);
             if let Some(t0) = t0 {
                 tensorlib_obs::hist_record(
                     "explore.point_us",
@@ -301,6 +309,7 @@ fn score(
     opts: &ExploreOptions,
     df: &Dataflow,
     hardening: Hardening,
+    golden: &OnceLock<Golden>,
 ) -> Option<Result<DesignPoint, PointError>> {
     let hw = HwConfig {
         hardening,
@@ -318,7 +327,8 @@ fn score(
         }
     }
     if opts.functional_verify {
-        match functional::simulate_budgeted(&design, kernel, 42, opts.cycle_budget) {
+        let golden = || golden.get_or_init(|| Golden::new(kernel, 42));
+        match functional::simulate_against(&design, kernel, opts.cycle_budget, golden) {
             Ok(_) => {}
             Err(SimError::CycleBudgetExceeded { budget, needed }) => {
                 return Some(Err(PointError::BudgetExceeded {
@@ -435,8 +445,9 @@ fn run_explore_chunk(
     opts: &ExploreOptions,
     jobs: &[(&Dataflow, Hardening)],
     durability: &DurabilityOptions,
+    golden: &OnceLock<Golden>,
 ) -> ExploreSweepReport {
-    let (scored, degraded) = score_jobs(kernel, opts, jobs, durability);
+    let (scored, degraded) = score_jobs(kernel, opts, jobs, durability, golden);
     ExploreSweepReport {
         rows: scored.points.iter().map(ExploreRow::from_point).collect(),
         errors: scored.errors,
@@ -576,10 +587,11 @@ pub fn explore_durable(
         decode: &decode_explore_chunk,
         count_outcomes: &count_explore_outcomes,
     };
+    let golden = OnceLock::new();
     let (chunks, stats) = journal::run_chunked(durability, hash, total, &spec, |i| {
         let lo = i * chunk_size;
         let hi = (lo + chunk_size).min(jobs.len());
-        run_explore_chunk(kernel, opts, &jobs[lo..hi], durability)
+        run_explore_chunk(kernel, opts, &jobs[lo..hi], durability, &golden)
     })?;
     let mut report = ExploreSweepReport {
         rows: Vec::new(),

@@ -90,24 +90,37 @@ impl Stt {
         out
     }
 
+    /// The adjugate `det(T)·T⁻¹` as an integer matrix: column `j` is the
+    /// cross product of the two rows other than `j`, so `adj·T = det·I`.
+    ///
+    /// This is the crate's one inverse formula: [`Stt::unapply`] and
+    /// [`Stt::inverse_mat`] divide it by [`Stt::det`].
+    fn adjugate(&self) -> [[i64; 3]; 3] {
+        let [a, b, c] = &self.rows;
+        let cols = [cross(b, c), cross(c, a), cross(a, b)];
+        let mut adj = [[0i64; 3]; 3];
+        for (j, col) in cols.iter().enumerate() {
+            for (row, &v) in adj.iter_mut().zip(col) {
+                row[j] = v;
+            }
+        }
+        adj
+    }
+
     /// Maps a space-time point back to the loop point, if one exists on the
     /// integer lattice.
     ///
     /// For unimodular matrices this always succeeds; otherwise some
     /// space-time slots have no preimage and yield `None`.
     pub fn unapply(&self, st: &[i64; 3]) -> Option<[i64; 3]> {
-        // Cramer's rule over integers: x_i = det(T with column i replaced) / det(T).
+        // x = adj·st / det, exact only when every numerator divides.
         let mut x = [0i64; 3];
-        for i in 0..3 {
-            let mut m = self.rows;
-            for (r, row) in m.iter_mut().enumerate() {
-                row[i] = st[r];
-            }
-            let d = det3(&m);
-            if d % self.det != 0 {
+        for (xi, row) in x.iter_mut().zip(&self.adjugate()) {
+            let n = row[0] * st[0] + row[1] * st[1] + row[2] * st[2];
+            if n % self.det != 0 {
                 return None;
             }
-            x[i] = d / self.det;
+            *xi = n / self.det;
         }
         Some(x)
     }
@@ -119,9 +132,10 @@ impl Stt {
 
     /// The exact inverse `T⁻¹` as a rational matrix.
     pub fn inverse_mat(&self) -> Mat {
-        self.to_mat()
-            .inverse()
-            .expect("validated STT matrices are invertible")
+        let adj = self.adjugate();
+        Mat::from_fn(3, 3, |i, j| {
+            Frac::new(i128::from(adj[i][j]), i128::from(self.det))
+        })
     }
 
     /// The inclusive range of each space-time coordinate when the selected
@@ -159,10 +173,18 @@ impl fmt::Display for Stt {
     }
 }
 
+fn cross(a: &[i64; 3], b: &[i64; 3]) -> [i64; 3] {
+    [
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    ]
+}
+
+/// `det = r₀·(r₁×r₂)`, the same cross products the adjugate is built from.
 fn det3(m: &[[i64; 3]; 3]) -> i64 {
-    m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    let c = cross(&m[1], &m[2]);
+    m[0][0] * c[0] + m[0][1] * c[1] + m[0][2] * c[2]
 }
 
 #[cfg(test)]
@@ -203,11 +225,76 @@ mod tests {
         assert_eq!(t.unapply(&[2, 0, 0]), Some([1, 0, 0]));
     }
 
+    /// Every nonsingular matrix `enumerate_stt` yields at `max_coeff` 1
+    /// and 2, enumerated once for all the tests that sweep them.
+    fn enumerated() -> &'static [Vec<Stt>; 2] {
+        static ALL: std::sync::OnceLock<[Vec<Stt>; 2]> = std::sync::OnceLock::new();
+        ALL.get_or_init(|| {
+            [1, 2].map(|max_coeff| {
+                crate::dse::enumerate_stt(&crate::dse::DseConfig {
+                    max_coeff,
+                    require_unimodular: false,
+                    ..crate::dse::DseConfig::default()
+                })
+            })
+        })
+    }
+
+    #[test]
+    fn adjugate_times_t_is_det_identity() {
+        let t = Stt::from_rows([[2, 0, 0], [0, 1, 0], [1, 1, 1]]).unwrap();
+        assert_eq!(t.adjugate(), [[1, 0, 0], [0, 2, 0], [-1, -2, 2]]);
+        for t in enumerated().iter().flatten() {
+            let adj = t.adjugate();
+            for (i, adj_row) in adj.iter().enumerate() {
+                for j in 0..3 {
+                    let v: i64 = (0..3).map(|k| adj_row[k] * t.rows()[k][j]).sum();
+                    assert_eq!(v, if i == j { t.det() } else { 0 }, "{t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unapply_inverts_apply_for_every_enumerated_stt() {
+        for t in enumerated().iter().flatten() {
+            for x0 in [-1, 1] {
+                for x1 in [0, 2] {
+                    for x2 in [-1, 0] {
+                        let x = [x0, x1, x2];
+                        assert_eq!(t.unapply(&t.apply(&x)), Some(x), "{t} at {x:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_lattice_slots_have_no_preimage() {
+        for t in enumerated().iter().flatten().filter(|t| !t.is_unimodular()) {
+            // T·Z³ has index |det| > 1 in Z³, so it cannot hold all
+            // three unit vectors: at least one slot has no preimage,
+            // and every slot that has one maps back onto itself.
+            let mut off_lattice = 0;
+            for k in 0..3 {
+                let mut st = [0i64; 3];
+                st[k] = 1;
+                match t.unapply(&st) {
+                    Some(x) => assert_eq!(t.apply(&x), st, "{t}"),
+                    None => off_lattice += 1,
+                }
+            }
+            assert!(off_lattice > 0, "{t} maps every unit slot");
+        }
+    }
+
     #[test]
     fn inverse_mat_is_exact() {
         let t = Stt::output_stationary();
         let prod = &t.to_mat() * &t.inverse_mat();
         assert_eq!(prod, Mat::identity(3));
+        let skewed = Stt::from_rows([[2, 0, 0], [0, 1, 0], [1, 1, 1]]).unwrap();
+        assert_eq!(skewed.inverse_mat(), skewed.to_mat().inverse().unwrap());
     }
 
     #[test]

@@ -69,6 +69,11 @@ impl DenseTensor {
         &self.dims
     }
 
+    /// The row-major stride of each dimension, in elements.
+    pub fn strides(&self) -> &[usize] {
+        &self.strides
+    }
+
     /// Total number of elements.
     pub fn len(&self) -> usize {
         self.data.len()

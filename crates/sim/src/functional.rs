@@ -11,8 +11,15 @@
 //! charged to the cycle of its first use inside a tile (later uses ride the
 //! reuse structure — stationary registers, systolic forwarding, or multicast
 //! fan-out), which is exactly the paper's premise that reuse saves bandwidth.
+//!
+//! A slot costs a few integer operations and no allocation: the slot →
+//! loop-point map is solved once per run with
+//! [`Stt::unapply`](tensorlib_dataflow::Stt::unapply), each access is
+//! lowered to flat-offset weights `Σ_d stride_d·A_d`, first use is an
+//! epoch-stamped array per input, and a sweep shares one [`Golden`]
+//! ([`simulate_against`]). DESIGN.md §7 has the details.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -28,6 +35,16 @@ pub enum SimError {
         design_kernel: String,
         /// Kernel passed to the simulator.
         given_kernel: String,
+    },
+    /// A selected loop of the design is longer than the kernel's loop: the
+    /// design would step outside the kernel's tensors.
+    ExtentMismatch {
+        /// The selected iterator.
+        iterator: String,
+        /// Its extent in the design.
+        design: u64,
+        /// Its extent in the kernel (`0` if the kernel has no such loop).
+        kernel: u64,
     },
     /// Not every loop point was executed exactly once.
     CoverageGap {
@@ -63,6 +80,14 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "design was generated for kernel {design_kernel:?}, simulated with {given_kernel:?}"
+            ),
+            SimError::ExtentMismatch {
+                iterator,
+                design,
+                kernel,
+            } => write!(
+                f,
+                "design maps loop {iterator:?} over {design} iterations, kernel has {kernel}"
             ),
             SimError::CoverageGap { expected, executed } => write!(
                 f,
@@ -104,6 +129,26 @@ pub struct FunctionalRun {
     pub pe_busy_fraction: f64,
 }
 
+/// The data a design is checked against: deterministic random inputs for a
+/// seed and the [`Kernel::execute_reference`] output on them. It depends
+/// only on `(kernel, seed)`, so one golden serves every design of a sweep.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Golden {
+    inputs: Vec<DenseTensor>,
+    reference: DenseTensor,
+}
+
+impl Golden {
+    /// Draws the inputs for `seed` and runs the reference executor on them.
+    pub fn new(kernel: &Kernel, seed: u64) -> Golden {
+        let inputs = kernel.random_inputs(seed);
+        let reference = kernel
+            .execute_reference(&inputs)
+            .expect("self-generated inputs fit the kernel");
+        Golden { inputs, reference }
+    }
+}
+
 /// Runs the design on random inputs (deterministic per `seed`) and checks the
 /// result against [`Kernel::execute_reference`].
 ///
@@ -138,124 +183,154 @@ pub fn simulate_budgeted(
     seed: u64,
     cycle_budget: Option<u64>,
 ) -> Result<FunctionalRun, SimError> {
+    simulate_against(design, kernel, cycle_budget, || Golden::new(kernel, seed))
+}
+
+/// [`simulate_budgeted`] against a [`Golden`] for `kernel` (owned or
+/// borrowed), asked for only once the kernel, extents and budget have
+/// passed, so a sweep can share one built lazily and a rejected design never
+/// pays for one.
+///
+/// # Errors
+///
+/// Everything [`simulate_budgeted`] returns, and [`SimError::ExtentMismatch`].
+pub fn simulate_against<G: Borrow<Golden>>(
+    design: &AcceleratorDesign,
+    kernel: &Kernel,
+    cycle_budget: Option<u64>,
+    golden: impl FnOnce() -> G,
+) -> Result<FunctionalRun, SimError> {
     let _span = tensorlib_obs::span("sim.functional");
     tensorlib_obs::counter_add("sim.functional_runs", 1);
-    if design.dataflow().kernel_name() != kernel.name() {
+    let dataflow = design.dataflow();
+    if dataflow.kernel_name() != kernel.name() {
         return Err(SimError::KernelMismatch {
-            design_kernel: design.dataflow().kernel_name().to_string(),
+            design_kernel: dataflow.kernel_name().to_string(),
             given_kernel: kernel.name().to_string(),
         });
     }
-    if let Some(budget) = cycle_budget {
-        let outer_idx = design.dataflow().selection().outer_indices(kernel);
-        let outer_points: u64 = outer_idx
-            .iter()
-            .map(|&i| kernel.loop_nest().iters()[i].extent())
-            .product();
-        let tiles: u64 = design.tiling().tile_counts.iter().product();
-        let needed = outer_points
-            .saturating_mul(tiles)
-            .saturating_mul(design.tiling().t_extent);
-        if needed > budget {
-            return Err(SimError::CycleBudgetExceeded { budget, needed });
-        }
-    }
-    let inputs = kernel.random_inputs(seed);
-    let reference = kernel
-        .execute_reference(&inputs)
-        .expect("self-generated inputs fit the kernel");
-
-    let dataflow = design.dataflow();
-    let stt = dataflow.stt();
-    let tiling = *design.tiling();
-    let array = design.config().array;
     let sel_idx = dataflow.selection().indices();
     let sel_ext = dataflow.selected_extents();
+    let loop_ext = kernel.loop_nest().extents();
+    for d in 0..3 {
+        let have = loop_ext.get(sel_idx[d]).copied().unwrap_or(0);
+        if have < sel_ext[d] {
+            return Err(SimError::ExtentMismatch {
+                iterator: dataflow.selection().names()[d].to_string(),
+                design: sel_ext[d],
+                kernel: have,
+            });
+        }
+    }
+    let tiling = *design.tiling();
+    let tile_ext = tiling.tile_extents.map(|e| e as i64);
+    // One mixed-radix counter over (outer point, tile), last digit fastest.
     let outer_idx = dataflow.selection().outer_indices(kernel);
-    let outer_ext: Vec<u64> = outer_idx
+    let radix: Vec<u64> = outer_idx
         .iter()
-        .map(|&i| kernel.loop_nest().iters()[i].extent())
+        .map(|&i| loop_ext[i])
+        .chain(tiling.tile_counts)
         .collect();
-    let n_loops = kernel.loop_nest().len();
+    let steps = radix.iter().fold(1u64, |n, &r| n.saturating_mul(r));
+    let cycles_simulated = steps.saturating_mul(tiling.t_extent);
+    if let Some(budget) = cycle_budget {
+        if cycles_simulated > budget {
+            return Err(SimError::CycleBudgetExceeded {
+                budget,
+                needed: cycles_simulated,
+            });
+        }
+    }
+    let golden = golden();
+    let golden: &Golden = golden.borrow();
+    let array = design.config().array;
 
-    let input_decls = kernel.inputs();
-    let out_access = kernel.output().access().clone();
-    let mut out = DenseTensor::zeros(&kernel.output_dims());
+    // Flat-offset weights per loop, `Σ_d stride_d·A_d`, of every input and
+    // then the output; and the base-offset step of every counter digit.
+    let decls = kernel.inputs().into_iter().chain([kernel.output()]);
+    let weights: Vec<Vec<i64>> = decls
+        .zip(golden.inputs.iter().chain([&golden.reference]))
+        .map(|(decl, t)| {
+            let rows = decl.access().exprs().iter().zip(t.strides());
+            let w = |l: usize| rows.clone().map(|(e, &s)| e.coeffs()[l] * s as i64).sum();
+            (0..loop_ext.len()).map(w).collect()
+        })
+        .collect();
+    let sel_w: Vec<[i64; 3]> = weights.iter().map(|w| sel_idx.map(|l| w[l])).collect();
+    let digit_w: Vec<Vec<i64>> = (weights.iter().zip(&sel_w))
+        .map(|(w, sw)| {
+            let tile_w = (0..3).map(|d| sw[d] * tile_ext[d]);
+            outer_idx.iter().map(|&i| w[i]).chain(tile_w).collect()
+        })
+        .collect();
 
-    let mut macs_executed = 0u64;
-    let mut cycles_simulated = 0u64;
-    let mut total_new_words = 0u64;
-    let mut peak_new_words = 0u64;
-
-    // Enumerate outer loop points.
-    let outer_points = OdometerIter::new(&outer_ext);
-    for outer_point in outer_points {
-        // Enumerate tiles of the selected loops.
-        let tile_counts = tiling.tile_counts;
-        let tiles = OdometerIter::new(&tile_counts);
-        for tile in tiles {
-            // First-use tracking for traffic accounting, per tile.
-            let mut first_use: HashMap<(usize, Vec<i64>), u64> = HashMap::new();
-            let mut per_cycle_new: Vec<u64> = vec![0; tiling.t_extent as usize];
-            for t_local in 0..tiling.t_extent as i64 {
-                cycles_simulated += 1;
-                for pe_r in 0..array.rows as i64 {
-                    for pe_c in 0..array.cols as i64 {
-                        let st = [
-                            pe_r - tiling.space_offset[0],
-                            pe_c - tiling.space_offset[1],
-                            t_local - tiling.t_offset,
-                        ];
-                        let Some(x_local) = stt.unapply(&st) else {
-                            continue;
-                        };
-                        // Inside the tile?
-                        let mut global_sel = [0i64; 3];
-                        let mut ok = true;
-                        for d in 0..3 {
-                            if x_local[d] < 0 || x_local[d] >= tiling.tile_extents[d] as i64 {
-                                ok = false;
-                                break;
-                            }
-                            let g = tile[d] as i64 * tiling.tile_extents[d] as i64 + x_local[d];
-                            if g >= sel_ext[d] as i64 {
-                                ok = false;
-                                break;
-                            }
-                            global_sel[d] = g;
-                        }
-                        if !ok {
-                            continue;
-                        }
-                        // Assemble the full loop point.
-                        let mut point = vec![0i64; n_loops];
-                        for d in 0..3 {
-                            point[sel_idx[d]] = global_sel[d];
-                        }
-                        for (oi, &li) in outer_idx.iter().enumerate() {
-                            point[li] = outer_point[oi] as i64;
-                        }
-                        // One MAC.
-                        let mut prod = 1i64;
-                        for (ti, decl) in input_decls.iter().enumerate() {
-                            let idx = decl.access().eval(&point);
-                            prod *= inputs[ti].get(&idx);
-                            first_use
-                                .entry((ti, idx))
-                                .or_insert_with(|| {
-                                    per_cycle_new[t_local as usize] += 1;
-                                    t_local as u64
-                                });
-                        }
-                        out.accumulate(&out_access.eval(&point), prod);
-                        macs_executed += 1;
-                    }
+    // The in-tile slots, solved once (the map is the same for every tile):
+    // cycle, tile-local loop point and each access's offset from the tile
+    // base, in cycle-major, row-major PE order.
+    let (so, to) = (tiling.space_offset, tiling.t_offset);
+    let (mut slots, mut local) = (Vec::new(), Vec::new());
+    for t in 0..tiling.t_extent as i64 {
+        for r in 0..array.rows as i64 {
+            for c in 0..array.cols as i64 {
+                let st = [r - so[0], c - so[1], t - to];
+                let Some(x) = dataflow.stt().unapply(&st) else {
+                    continue;
+                };
+                if (0..3).all(|d| x[d] >= 0 && x[d] < tile_ext[d]) {
+                    slots.push((t as usize, x));
+                    let offset = |w: &[i64; 3]| w[0] * x[0] + w[1] * x[1] + w[2] * x[2];
+                    local.extend(sel_w.iter().map(offset));
                 }
             }
-            for &n in &per_cycle_new {
-                total_new_words += n;
-                peak_new_words = peak_new_words.max(n);
+        }
+    }
+
+    let n_acc = weights.len();
+    let mut out = vec![0i64; golden.reference.len()];
+    let mut stamps: Vec<Vec<u64>> = golden.inputs.iter().map(|t| vec![0; t.len()]).collect();
+    let (mut base, mut digits) = (vec![0i64; n_acc], vec![0u64; radix.len()]);
+    let (mut macs_executed, mut total_new_words, mut peak_new_words) = (0u64, 0u64, 0u64);
+    for epoch in 1..=steps {
+        for (b, dw) in base.iter_mut().zip(&digit_w) {
+            *b = dw.iter().zip(&digits).map(|(&w, &v)| w * v as i64).sum();
+        }
+        // Edge tiles stop at the loop bound.
+        let tile = &digits[outer_idx.len()..];
+        let limit: [i64; 3] =
+            std::array::from_fn(|d| sel_ext[d] as i64 - tile[d] as i64 * tile_ext[d]);
+        // Slots come in cycle order, so each cycle's first uses are
+        // contiguous: `run` counts the current cycle's.
+        let (mut cycle, mut run) = (usize::MAX, 0u64);
+        for (&(t, x), loc) in slots.iter().zip(local.chunks_exact(n_acc)) {
+            if x[0] >= limit[0] || x[1] >= limit[1] || x[2] >= limit[2] {
+                continue;
             }
+            let mut prod = 1i64;
+            for (((input, stamp), &b), &l) in
+                golden.inputs.iter().zip(&mut stamps).zip(&base).zip(loc)
+            {
+                let off = (b + l) as usize;
+                prod *= input.as_slice()[off];
+                if stamp[off] != epoch {
+                    stamp[off] = epoch;
+                    if t != cycle {
+                        peak_new_words = peak_new_words.max(run);
+                        (cycle, run) = (t, 0);
+                    }
+                    run += 1;
+                    total_new_words += 1;
+                }
+            }
+            out[(base[n_acc - 1] + loc[n_acc - 1]) as usize] += prod;
+            macs_executed += 1;
+        }
+        peak_new_words = peak_new_words.max(run);
+        for (digit, &r) in digits.iter_mut().zip(&radix).rev() {
+            *digit += 1;
+            if *digit < r {
+                break;
+            }
+            *digit = 0;
         }
     }
 
@@ -266,76 +341,31 @@ pub fn simulate_budgeted(
         });
     }
     // Bit-exact comparison.
-    for (i, (&got, &want)) in out
-        .as_slice()
-        .iter()
-        .zip(reference.as_slice().iter())
-        .enumerate()
-    {
-        if got != want {
-            // Recover the multi-dimensional index for the report.
-            let mut rem = i;
-            let dims = reference.dims();
-            let mut idx = vec![0i64; dims.len()];
-            for d in (0..dims.len()).rev() {
-                idx[d] = (rem % dims[d]) as i64;
-                rem /= dims[d];
-            }
-            return Err(SimError::OutputMismatch {
-                index: idx,
-                expected: want,
-                got,
-            });
+    let reference = golden.reference.as_slice();
+    if let Some(i) = (0..out.len()).find(|&i| out[i] != reference[i]) {
+        // Recover the multi-dimensional index for the report.
+        let dims = golden.reference.dims();
+        let (mut rem, mut index) = (i, vec![0i64; dims.len()]);
+        for d in (0..dims.len()).rev() {
+            index[d] = (rem % dims[d]) as i64;
+            rem /= dims[d];
         }
+        return Err(SimError::OutputMismatch {
+            index,
+            expected: reference[i],
+            got: out[i],
+        });
     }
 
-    let slots = cycles_simulated * array.pes() as u64;
+    let pe_slots = cycles_simulated * array.pes() as u64;
     Ok(FunctionalRun {
         matches_reference: true,
         cycles_simulated,
         macs_executed,
         avg_new_words_per_cycle: total_new_words as f64 / cycles_simulated.max(1) as f64,
         peak_new_words_per_cycle: peak_new_words,
-        pe_busy_fraction: macs_executed as f64 / slots.max(1) as f64,
+        pe_busy_fraction: macs_executed as f64 / pe_slots.max(1) as f64,
     })
-}
-
-/// Odometer over a multi-dimensional extent box (empty extents yield a single
-/// empty point — the natural unit for "no outer loops").
-struct OdometerIter {
-    extents: Vec<u64>,
-    current: Vec<u64>,
-    done: bool,
-}
-
-impl OdometerIter {
-    fn new(extents: &[u64]) -> OdometerIter {
-        OdometerIter {
-            extents: extents.to_vec(),
-            current: vec![0; extents.len()],
-            done: extents.contains(&0),
-        }
-    }
-}
-
-impl Iterator for OdometerIter {
-    type Item = Vec<u64>;
-
-    fn next(&mut self) -> Option<Vec<u64>> {
-        if self.done {
-            return None;
-        }
-        let out = self.current.clone();
-        for d in (0..self.current.len()).rev() {
-            self.current[d] += 1;
-            if self.current[d] < self.extents[d] {
-                return Some(out);
-            }
-            self.current[d] = 0;
-        }
-        self.done = true;
-        Some(out)
-    }
 }
 
 #[cfg(test)]
@@ -476,6 +506,50 @@ mod tests {
     }
 
     #[test]
+    fn shared_golden_matches_a_golden_per_call() {
+        let k = workloads::conv2d(3, 2, 5, 4, 3, 2);
+        let golden = Golden::new(&k, 9);
+        for (sel, rows) in [
+            (["k", "y", "p"], [[1, 0, 0], [0, 1, 0], [1, 1, 1]]),
+            (["k", "c", "x"], [[1, 0, 0], [0, -1, 0], [0, -2, -2]]),
+        ] {
+            let selection = LoopSelection::by_names(&k, sel).unwrap();
+            let df = Dataflow::analyze(&k, selection, Stt::from_rows(rows).unwrap()).unwrap();
+            let design = generate(&df, &small_cfg()).unwrap();
+            let shared = simulate_against(&design, &k, None, || &golden);
+            assert_eq!(shared, simulate(&design, &k, 9));
+            assert!(shared.unwrap().matches_reference);
+        }
+    }
+
+    #[test]
+    fn rejections_never_build_a_golden() {
+        let k = workloads::gemm(8, 8, 8);
+        let sel = LoopSelection::by_names(&k, ["m", "n", "k"]).unwrap();
+        let df = Dataflow::analyze(&k, sel, Stt::output_stationary()).unwrap();
+        let design = generate(&df, &small_cfg()).unwrap();
+        let never = || -> &Golden { panic!("golden built for a rejected design") };
+        let other = workloads::mttkrp(4, 4, 4, 4);
+        assert!(matches!(
+            simulate_against(&design, &other, None, never),
+            Err(SimError::KernelMismatch { .. })
+        ));
+        let shrunk = workloads::gemm(8, 8, 4);
+        assert_eq!(
+            simulate_against(&design, &shrunk, None, never),
+            Err(SimError::ExtentMismatch {
+                iterator: "k".into(),
+                design: 8,
+                kernel: 4
+            })
+        );
+        assert!(matches!(
+            simulate_against(&design, &k, Some(1), never),
+            Err(SimError::CycleBudgetExceeded { budget: 1, .. })
+        ));
+    }
+
+    #[test]
     fn error_display() {
         let e = SimError::CoverageGap {
             expected: 10,
@@ -488,14 +562,5 @@ mod tests {
             got: 6,
         };
         assert!(o.to_string().contains("[1, 2]"));
-    }
-
-    #[test]
-    fn odometer_counts() {
-        let pts: Vec<Vec<u64>> = OdometerIter::new(&[2, 3]).collect();
-        assert_eq!(pts.len(), 6);
-        // No extents: exactly one empty point.
-        let unit: Vec<Vec<u64>> = OdometerIter::new(&[]).collect();
-        assert_eq!(unit, vec![Vec::<u64>::new()]);
     }
 }

@@ -12,6 +12,9 @@ cd "$(dirname "$0")/.."
 # perfgate) stale and every smoke below would run against old bits.
 cargo build --release --workspace
 cargo test -q
+# The functional executor's full pinned grid (about 14.5k designs; the
+# debug subset above runs in every `cargo test`).
+cargo test --release -q --test functional_equivalence -- --ignored
 # Unit tests of the campaign crates (journal torn-tail and config drift, the
 # interrupt latch model, durable resume, explore). Not yet --workspace: the
 # tensorlib-linalg recorder test is flaky under parallel test threads.

@@ -4,9 +4,10 @@
 # fault-armed, obs-disabled), the batch_sim floor (the 64-lane batched engine
 # must retire >=4x scalar fault-campaign throughput), and — on multi-core
 # hosts only — the parallel-explore speedup floor. Fails if compiled
-# interpreter throughput regresses more than 20% against the committed
-# BENCH_perfgate.json baseline (skips that gate with a warning when no
-# baseline is committed). Regenerates BENCH_perfgate.json.
+# interpreter throughput or functional-executor throughput regresses more
+# than 20% against the committed BENCH_perfgate.json baseline (skips those
+# gates with a warning when no baseline is committed). Regenerates
+# BENCH_perfgate.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

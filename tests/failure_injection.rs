@@ -191,6 +191,20 @@ fn simulator_rejects_mismatched_kernels() {
         }
         other => panic!("expected a coverage gap, got {other:?}"),
     }
+    // Same kernel name, smaller sizes: the design's loops would run past the
+    // kernel's tensors, so it is refused before any work rather than reading
+    // or writing the wrong elements.
+    let shrunk = workloads::gemm(6, 6, 6);
+    let err = functional::simulate(&design, &shrunk, 0).unwrap_err();
+    assert_eq!(
+        err,
+        SimError::ExtentMismatch {
+            iterator: "m".into(),
+            design: 8,
+            kernel: 6,
+        }
+    );
+    assert!(err.to_string().contains("\"m\""), "{err}");
 }
 
 #[test]
