@@ -15,7 +15,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 use tensorlib::dataflow::dse::{design_space, DseConfig};
 use tensorlib::dataflow::{Dataflow, LoopSelection, Stt};
 use tensorlib::explore::{explore, ExploreOptions};
@@ -755,7 +755,7 @@ fn bench_explore(host_cores: usize) -> ExploreReport {
 /// sweep), each checked bit-exactly against one shared [`Golden`]. Design
 /// generation is outside the timed passes. `baseline` is the report the
 /// regression gate compares against, when there is one.
-fn bench_functional(baseline: Option<&str>) -> FunctionalReport {
+fn bench_functional(baseline: Option<&Value>) -> FunctionalReport {
     let kernel = workloads::gemm(16, 16, 8);
     let hw = HwConfig {
         array: ArrayConfig::square(4),
@@ -785,7 +785,8 @@ fn bench_functional(baseline: Option<&str>) -> FunctionalReport {
         })
         .collect();
     let functional_macs_per_sec = median(&mut rates);
-    let base_rate = baseline.and_then(|b| extract_number(b, "functional_macs_per_sec"));
+    let base_rate =
+        baseline.and_then(|b| baseline_number(b, "functional", "functional_macs_per_sec"));
     let skip = |reason: String| Some(GateSkip { reason });
     let skipped = match (baseline, base_rate) {
         (None, _) => skip("no readable baseline to gate against".into()),
@@ -807,15 +808,10 @@ fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Extracts `"key": <number>` from a baseline report without a JSON parser.
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The number at `section.key` in a parsed baseline report, if the report
+/// has that section and the section has that number.
+fn baseline_number(baseline: &Value, section: &str, key: &str) -> Option<f64> {
+    baseline.get(section)?.get(key)?.as_f64()
 }
 
 /// Generates the 4×4 OS GEMM accelerator, optionally TMR-hardened.
@@ -1178,20 +1174,22 @@ fn main() {
     // numbers may not mean what this binary thinks they mean. A baseline
     // predating schema stamps is accepted as version 0.
     let baseline = baseline_path.and_then(|path| {
-        let Ok(text) = std::fs::read_to_string(&path) else {
+        let doc = std::fs::read_to_string(&path).ok().and_then(|text| {
+            if let Err(err @ tensorlib_obs::SchemaError::TooNew { .. }) =
+                tensorlib_obs::check_schema_version(&text)
+            {
+                eprintln!("FAIL: baseline {}: {err}", path.display());
+                std::process::exit(1);
+            }
+            serde::value::parse(&text).ok()
+        });
+        if doc.is_none() {
             eprintln!(
                 "warning: baseline {} not readable; skipping regression gates",
                 path.display()
             );
-            return None;
-        };
-        match tensorlib_obs::check_schema_version(&text) {
-            Ok(_) | Err(tensorlib_obs::SchemaError::Missing) => Some((path, text)),
-            Err(err @ tensorlib_obs::SchemaError::TooNew { .. }) => {
-                eprintln!("FAIL: baseline {}: {err}", path.display());
-                std::process::exit(1);
-            }
         }
+        Some((path, doc?))
     });
     let interpreter = bench_interpreter();
     let trace_overhead = bench_trace_overhead();
@@ -1199,7 +1197,7 @@ fn main() {
     let batch_sim = bench_batch_sim();
     let obs_overhead = bench_obs_overhead();
     let explore_report = bench_explore(host_cores);
-    let functional_report = bench_functional(baseline.as_ref().map(|(_, text)| text.as_str()));
+    let functional_report = bench_functional(baseline.as_ref().map(|(_, doc)| doc));
     let opt_report = bench_opt();
     let journal_report = bench_journal_overhead();
     let telemetry_report = bench_telemetry_overhead();
@@ -1531,8 +1529,10 @@ fn main() {
             workers: 0,
             lanes: 0,
             metrics,
-            unix_ms: tensorlib_obs::events::unix_ms(),
-            wall_ms: t_main.elapsed().as_millis() as u64,
+            timing: tensorlib_obs::history::HistoryTiming {
+                unix_ms: tensorlib_obs::events::unix_ms(),
+                wall_ms: t_main.elapsed().as_millis() as u64,
+            },
         };
         let history_path = repo_root().join("reports").join("history.jsonl");
         match tensorlib_obs::history::append(&history_path, &entry) {
@@ -1542,7 +1542,9 @@ fn main() {
     }
 
     if let Some((path, baseline)) = baseline {
-        let Some(base_rate) = extract_number(&baseline, "compiled_cycles_per_sec") else {
+        let Some(base_rate) =
+            baseline_number(&baseline, "interpreter", "compiled_cycles_per_sec")
+        else {
             eprintln!(
                 "warning: baseline {} has no compiled_cycles_per_sec; skipping regression gate",
                 path.display()
@@ -1563,5 +1565,25 @@ fn main() {
             std::process::exit(1);
         }
         println!("regression gate passed");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn baseline_numbers_are_read_by_section_path() {
+        // A same-named key in an earlier section must not shadow the one
+        // the gate reads.
+        let doc = serde::value::parse(
+            r#"{"explore": {"compiled_cycles_per_sec": 1},
+                "interpreter": {"compiled_cycles_per_sec": 2.5e6},
+                "functional": {"designs": 870}}"#,
+        )
+        .unwrap();
+        assert_eq!(baseline_number(&doc, "interpreter", "compiled_cycles_per_sec"), Some(2.5e6));
+        assert_eq!(baseline_number(&doc, "functional", "functional_macs_per_sec"), None);
+        assert_eq!(baseline_number(&doc, "missing", "compiled_cycles_per_sec"), None);
     }
 }

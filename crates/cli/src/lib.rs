@@ -1208,8 +1208,10 @@ fn append_history(
         workers: provenance.workers as u64,
         lanes: provenance.lanes as u64,
         metrics,
-        unix_ms: tensorlib_obs::events::unix_ms(),
-        wall_ms,
+        timing: tensorlib_obs::history::HistoryTiming {
+            unix_ms: tensorlib_obs::events::unix_ms(),
+            wall_ms,
+        },
     };
     match tensorlib_obs::history::append(&path, &entry) {
         Ok(()) => format!("appended history entry to {}\n", path.display()),
@@ -1247,9 +1249,9 @@ fn status_resume_hint(dir: &str) -> String {
 /// `tensorlib status <dir>`: one snapshot, rendered human or `--json`, with
 /// the exit code distinguishing finished (0) / running (2) / interrupted (3).
 fn run_status(dir: &str, json: bool) -> Result<(String, u8), CliError> {
+    use serde::Value;
     use tensorlib_obs::events::StatusSnapshot;
-    use tensorlib_obs::json::Value;
-    let snapshot = StatusSnapshot::read(std::path::Path::new(dir))
+    let mut snapshot = StatusSnapshot::read(std::path::Path::new(dir))
         .map_err(|err| CliError(format!("reading campaign status in {dir}: {err}")))?;
     let state = effective_status_state(&snapshot);
     let code = match state.as_str() {
@@ -1258,13 +1260,9 @@ fn run_status(dir: &str, json: bool) -> Result<(String, u8), CliError> {
         _ => 3,
     };
     if json {
-        let mut v = snapshot.to_value();
+        snapshot.state = state.clone();
+        let mut v = snapshot.to_document();
         if let Value::Obj(entries) = &mut v {
-            for (key, val) in entries.iter_mut() {
-                if key == "state" {
-                    *val = Value::Str(state.clone());
-                }
-            }
             if state == "interrupted" {
                 entries.push((
                     "resume_hint".to_string(),
@@ -3102,7 +3100,7 @@ mod tests {
         // The campaign body (config + report) is byte-identical; only the
         // provenance journal block and wall times differ.
         let body_of = |doc: &str| {
-            let v = tensorlib_obs::json::parse(doc).unwrap();
+            let v = serde::value::parse(doc).unwrap();
             format!("{:?}|{:?}", v.get("config"), v.get("report"))
         };
         assert_eq!(body_of(&journaled), body_of(&in_memory));
@@ -3225,7 +3223,7 @@ mod tests {
         }
         // The campaign seeds land in the provenance block, machine-readably.
         let seeds_of = |doc: &str| {
-            let v = tensorlib_obs::json::parse(doc).unwrap();
+            let v = serde::value::parse(doc).unwrap();
             v.get("provenance")
                 .and_then(|p| p.get("seeds"))
                 .and_then(|s| s.as_array().map(|a| a.iter().filter_map(|x| x.as_u64()).collect::<Vec<_>>()))
@@ -3420,7 +3418,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(code, 0);
-        let v = tensorlib_obs::json::parse(&json_text).unwrap();
+        let v = serde::value::parse(&json_text).unwrap();
         assert_eq!(v.get("state").and_then(|s| s.as_str()), Some("finished"));
         // watch on a finished campaign returns immediately with code 0.
         let (watch_text, code) = run_coded(Command::Watch {
@@ -3487,7 +3485,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(code, 3);
-        let v = tensorlib_obs::json::parse(&json_text).unwrap();
+        let v = serde::value::parse(&json_text).unwrap();
         assert_eq!(
             v.get("state").and_then(|s| s.as_str()),
             Some("interrupted")
@@ -3519,8 +3517,10 @@ mod tests {
             metrics: [("detection_coverage".to_string(), coverage)]
                 .into_iter()
                 .collect(),
-            unix_ms: 1,
-            wall_ms: 10,
+            timing: tensorlib_obs::history::HistoryTiming {
+                unix_ms: 1,
+                wall_ms: 10,
+            },
         };
         append(&path, &entry(0.9, 4)).unwrap();
         append(&path, &entry(0.5, 4)).unwrap(); // -44%: flagged at 10%

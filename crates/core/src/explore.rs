@@ -4,18 +4,15 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use tensorlib_cost::{asic_cost, Activity, AsicReport};
 use tensorlib_dataflow::dse::{design_space, DseConfig};
 use tensorlib_dataflow::Dataflow;
 use tensorlib_hw::design::{generate, HwConfig};
 use tensorlib_hw::fault::Hardening;
 use tensorlib_ir::Kernel;
-use tensorlib_obs::json::Value;
 use tensorlib_sim::functional::{self, Golden};
-use tensorlib_sim::journal::{
-    self, ChunkSpec, DurabilityOptions, ItemOutcome, JournalError, RunStats,
-};
+use tensorlib_sim::journal::{self, DurabilityOptions, ItemOutcome, JournalError, RunStats};
 use tensorlib_sim::{perf, SimConfig, SimError, SimReport};
 
 /// One scored point of the design space.
@@ -89,7 +86,7 @@ impl Default for ExploreOptions {
 
 /// Why one candidate produced no [`DesignPoint`] (enumeration order is
 /// preserved in [`ExploreOutcome::errors`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PointError {
     /// Scoring the candidate panicked; the panic was caught and isolated, so
     /// the rest of the sweep is unaffected.
@@ -389,9 +386,9 @@ pub fn pareto_power_area(points: &[DesignPoint]) -> Vec<&DesignPoint> {
 
 /// One scored design point, reduced to the fields a sweep report plots.
 /// This is what chunked sweeps journal per candidate: unlike
-/// [`DesignPoint`] it round-trips losslessly through the replay decoder, and
+/// [`DesignPoint`] it round-trips losslessly through its derived decoder, and
 /// it is all the Figure 6-style scatter needs.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExploreRow {
     /// Paper-style dataflow name with hardening suffix.
     pub name: String,
@@ -425,7 +422,7 @@ impl ExploreRow {
 /// regardless of worker count, chunking, or crash/resume history. Each
 /// journal chunk's result is one of these over the chunk's candidates,
 /// with rows still in enumeration order.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExploreSweepReport {
     /// Scored candidates, sorted by total cycles (fastest first, ties by
     /// name) — the same order [`explore`] returns points in.
@@ -454,60 +451,6 @@ fn run_explore_chunk(
         skipped: scored.skipped as u64,
         degraded,
     }
-}
-
-fn decode_row(v: &Value) -> Result<ExploreRow, String> {
-    Ok(ExploreRow {
-        name: journal::field_str(v, "name")?.to_string(),
-        letters: journal::field_str(v, "letters")?.to_string(),
-        total_cycles: journal::field_u64(v, "total_cycles")?,
-        normalized_perf: journal::field_f64(v, "normalized_perf")?,
-        power_mw: journal::field_f64(v, "power_mw")?,
-        area_mm2: journal::field_f64(v, "area_mm2")?,
-    })
-}
-
-fn decode_point_error(v: &Value) -> Result<PointError, String> {
-    let entries = v
-        .as_object()
-        .ok_or_else(|| "point error is not an object".to_string())?;
-    let (tag, body) = entries
-        .first()
-        .ok_or_else(|| "point error object is empty".to_string())?;
-    match tag.as_str() {
-        "Panicked" => Ok(PointError::Panicked {
-            name: journal::field_str(body, "name")?.to_string(),
-            message: journal::field_str(body, "message")?.to_string(),
-        }),
-        "BudgetExceeded" => Ok(PointError::BudgetExceeded {
-            name: journal::field_str(body, "name")?.to_string(),
-            budget: journal::field_u64(body, "budget")?,
-            needed: journal::field_u64(body, "needed")?,
-        }),
-        "Functional" => Ok(PointError::Functional {
-            name: journal::field_str(body, "name")?.to_string(),
-            message: journal::field_str(body, "message")?.to_string(),
-        }),
-        other => Err(format!("unknown point error tag `{other}`")),
-    }
-}
-
-/// Decodes one journaled chunk payload. Inverse of
-/// `serde_json::to_string(&ExploreSweepReport)`.
-fn decode_explore_chunk(payload: &str) -> Result<ExploreSweepReport, String> {
-    let doc = tensorlib_obs::json::parse(payload)?;
-    Ok(ExploreSweepReport {
-        rows: journal::field_array(&doc, "rows")?
-            .iter()
-            .map(decode_row)
-            .collect::<Result<Vec<ExploreRow>, String>>()?,
-        errors: journal::field_array(&doc, "errors")?
-            .iter()
-            .map(decode_point_error)
-            .collect::<Result<Vec<PointError>, String>>()?,
-        skipped: journal::field_u64(&doc, "skipped")?,
-        degraded: journal::field_u64(&doc, "degraded")?,
-    })
 }
 
 /// Canonical config string for journal keying: the kernel and every option
@@ -582,17 +525,19 @@ pub fn explore_durable(
         total,
         &canonical_explore_config(kernel, opts, jobs.len()),
     );
-    let spec = ChunkSpec {
-        kind: "explore",
-        decode: &decode_explore_chunk,
-        count_outcomes: &count_explore_outcomes,
-    };
     let golden = OnceLock::new();
-    let (chunks, stats) = journal::run_chunked(durability, hash, total, &spec, |i| {
-        let lo = i * chunk_size;
-        let hi = (lo + chunk_size).min(jobs.len());
-        run_explore_chunk(kernel, opts, &jobs[lo..hi], durability, &golden)
-    })?;
+    let (chunks, stats) = journal::run_chunked(
+        durability,
+        hash,
+        total,
+        "explore",
+        count_explore_outcomes,
+        |i| {
+            let lo = i * chunk_size;
+            let hi = (lo + chunk_size).min(jobs.len());
+            run_explore_chunk(kernel, opts, &jobs[lo..hi], durability, &golden)
+        },
+    )?;
     let mut report = ExploreSweepReport {
         rows: Vec::new(),
         errors: Vec::new(),

@@ -41,7 +41,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use tensorlib_obs::json::{self, Value};
+use serde::value::{self, Value};
 
 use crate::mem::MemBank;
 use crate::netlist::{BinOp, Dir, Expr, Module, NetId};
@@ -1048,7 +1048,7 @@ pub fn import_yosys(root: &Value) -> Result<NetlistDoc, YosysError> {
 /// JSON syntax errors surface at path `$`; structural problems carry the
 /// offending JSON path.
 pub fn parse_yosys(input: &str) -> Result<NetlistDoc, YosysError> {
-    let root = json::parse(input).map_err(|msg| YosysError {
+    let root = value::parse(input).map_err(|msg| YosysError {
         path: "$".to_string(),
         msg,
     })?;

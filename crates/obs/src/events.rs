@@ -30,7 +30,8 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::json::{self, Value};
+use serde::value::{self, Value};
+use serde::{Deserialize, Serialize};
 
 /// Schema version stamped on every event line and status snapshot.
 pub const TELEMETRY_SCHEMA_VERSION: u64 = 1;
@@ -87,7 +88,7 @@ impl Event {
 
     /// Appends a per-outcome counter object (sorted keys, from the map).
     pub fn counts(mut self, key: &str, counts: &BTreeMap<String, u64>) -> Self {
-        self.entries.push((key.to_string(), counts_value(counts)));
+        self.entries.push((key.to_string(), Value::from(counts.to_content())));
         self
     }
 
@@ -112,15 +113,6 @@ impl Event {
     }
 }
 
-fn counts_value(counts: &BTreeMap<String, u64>) -> Value {
-    Value::Obj(
-        counts
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::Num(*v as f64)))
-            .collect(),
-    )
-}
-
 /// An open handle on a campaign's `events.jsonl`. Each append writes one
 /// compact line and `fsync`s it, mirroring the journal's durability
 /// discipline: an event that was reported is an event that survives a crash.
@@ -142,7 +134,7 @@ impl EventLog {
 
     /// Appends one event as a single JSONL line and flushes it to disk.
     pub fn append(&mut self, event: Event) -> io::Result<()> {
-        let mut line = json::to_compact(&event.into_value());
+        let mut line = value::to_compact(&event.into_value());
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
         self.file.sync_data()
@@ -160,7 +152,7 @@ pub fn read_events(dir: &Path) -> Result<Vec<Value>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = json::parse(line)
+        let v = value::parse(line)
             .map_err(|e| format!("{}:{}: malformed event line: {e}", path.display(), i + 1))?;
         if v.get("event").and_then(Value::as_str).is_none() {
             return Err(format!(
@@ -176,7 +168,7 @@ pub fn read_events(dir: &Path) -> Result<Vec<Value>, String> {
 
 /// Wall-clock-derived status fields, structurally quarantined so the rest of
 /// [`StatusSnapshot`] is deterministic for a given campaign state.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct StatusTiming {
     /// When this snapshot was written (ms since Unix epoch).
     pub updated_unix_ms: u64,
@@ -191,8 +183,9 @@ pub struct StatusTiming {
 }
 
 /// The atomically-replaced `status.json` snapshot of a running (or just
-/// finished / interrupted) campaign.
-#[derive(Debug, Clone, PartialEq)]
+/// finished / interrupted) campaign. The file is this struct's derived
+/// encoding with `schema_version` prepended.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatusSnapshot {
     /// Campaign kind: `"faults"`, `"fuzz"`, or `"explore"`.
     pub kind: String,
@@ -218,104 +211,14 @@ pub struct StatusSnapshot {
 }
 
 impl StatusSnapshot {
-    /// Renders the snapshot as a JSON value (stable field order).
-    pub fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "schema_version".to_string(),
-                Value::Num(TELEMETRY_SCHEMA_VERSION as f64),
-            ),
-            ("kind".to_string(), Value::Str(self.kind.clone())),
-            ("state".to_string(), Value::Str(self.state.clone())),
-            ("pid".to_string(), Value::Num(self.pid as f64)),
-            (
-                "config_hash".to_string(),
-                Value::Str(self.config_hash.clone()),
-            ),
-            (
-                "chunks_total".to_string(),
-                Value::Num(self.chunks_total as f64),
-            ),
-            (
-                "chunks_done".to_string(),
-                Value::Num(self.chunks_done as f64),
-            ),
-            (
-                "chunks_replayed".to_string(),
-                Value::Num(self.chunks_replayed as f64),
-            ),
-            (
-                "chunks_executed".to_string(),
-                Value::Num(self.chunks_executed as f64),
-            ),
-            ("outcomes".to_string(), counts_value(&self.outcomes)),
-            (
-                "timing".to_string(),
-                Value::Obj(vec![
-                    (
-                        "updated_unix_ms".to_string(),
-                        Value::Num(self.timing.updated_unix_ms as f64),
-                    ),
-                    (
-                        "elapsed_ms".to_string(),
-                        Value::Num(self.timing.elapsed_ms as f64),
-                    ),
-                    (
-                        "ewma_chunk_ms".to_string(),
-                        Value::Num(self.timing.ewma_chunk_ms),
-                    ),
-                    (
-                        "throughput_chunks_per_s".to_string(),
-                        Value::Num(self.timing.throughput_chunks_per_s),
-                    ),
-                    ("eta_ms".to_string(), Value::Num(self.timing.eta_ms as f64)),
-                ]),
-            ),
-        ])
-    }
-
-    /// Decodes a snapshot from a parsed `status.json` document.
-    pub fn from_value(v: &Value) -> Result<StatusSnapshot, String> {
-        let version = req_u64(v, "schema_version")?;
-        if version != TELEMETRY_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported status schema_version {version} (expected {TELEMETRY_SCHEMA_VERSION})"
-            ));
-        }
-        let timing = req(v, "timing")?;
-        let mut outcomes = BTreeMap::new();
-        for (k, n) in req(v, "outcomes")?
-            .as_object()
-            .ok_or_else(|| "`outcomes` is not an object".to_string())?
-        {
-            let n = n
-                .as_u64()
-                .ok_or_else(|| format!("outcome `{k}` is not an unsigned integer"))?;
-            outcomes.insert(k.clone(), n);
-        }
-        Ok(StatusSnapshot {
-            kind: req_str(v, "kind")?.to_string(),
-            state: req_str(v, "state")?.to_string(),
-            pid: req_u64(v, "pid")? as u32,
-            config_hash: req_str(v, "config_hash")?.to_string(),
-            chunks_total: req_u64(v, "chunks_total")?,
-            chunks_done: req_u64(v, "chunks_done")?,
-            chunks_replayed: req_u64(v, "chunks_replayed")?,
-            chunks_executed: req_u64(v, "chunks_executed")?,
-            outcomes,
-            timing: StatusTiming {
-                updated_unix_ms: req_u64(timing, "updated_unix_ms")?,
-                elapsed_ms: req_u64(timing, "elapsed_ms")?,
-                ewma_chunk_ms: req_f64(timing, "ewma_chunk_ms")?,
-                throughput_chunks_per_s: req_f64(timing, "throughput_chunks_per_s")?,
-                eta_ms: req_u64(timing, "eta_ms")?,
-            },
-        })
+    /// The `status.json` document: the snapshot with `schema_version` first.
+    pub fn to_document(&self) -> Value {
+        versioned(self, TELEMETRY_SCHEMA_VERSION)
     }
 
     /// Atomically replaces `dir/status.json` with this snapshot.
     pub fn write(&self, dir: &Path) -> io::Result<()> {
-        let mut text = self.to_value().to_string();
+        let mut text = self.to_document().to_string();
         text.push('\n');
         crate::atomic_write(dir.join(STATUS_FILE), text.as_bytes())
     }
@@ -325,31 +228,35 @@ impl StatusSnapshot {
         let path = dir.join(STATUS_FILE);
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let v = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        StatusSnapshot::from_value(&v)
+        let v = value::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        read_versioned(&v, "status", TELEMETRY_SCHEMA_VERSION)
     }
 }
 
-pub(crate) fn req<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
+/// Renders `doc` as a JSON document with `schema_version` prepended to its
+/// fields — the on-disk form of the status and history files.
+pub(crate) fn versioned<T: Serialize>(doc: &T, version: u64) -> Value {
+    let mut entries = vec![("schema_version".to_string(), Value::Num(version as f64))];
+    if let Value::Obj(fields) = Value::from(doc.to_content()) {
+        entries.extend(fields);
+    }
+    Value::Obj(entries)
 }
 
-pub(crate) fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
-    req(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
-}
-
-pub(crate) fn req_f64(v: &Value, key: &str) -> Result<f64, String> {
-    req(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-pub(crate) fn req_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    req(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))
+/// Checks a parsed document's `schema_version` against `version` (`what`
+/// names the file kind for the error), then decodes the document as `T`.
+pub(crate) fn read_versioned<T: Deserialize>(
+    v: &Value,
+    what: &str,
+    version: u64,
+) -> Result<T, String> {
+    match v.get("schema_version").and_then(Value::as_u64) {
+        Some(found) if found == version => v.decode(),
+        found => Err(format!(
+            "unsupported {what} schema_version {} (expected {version})",
+            found.map_or_else(|| "(missing)".to_string(), |n| n.to_string())
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -391,7 +298,8 @@ mod tests {
     #[test]
     fn status_snapshot_round_trips() {
         let s = snapshot();
-        let back = StatusSnapshot::from_value(&s.to_value()).unwrap();
+        let back: StatusSnapshot =
+            read_versioned(&s.to_document(), "status", TELEMETRY_SCHEMA_VERSION).unwrap();
         assert_eq!(back, s);
     }
 
@@ -404,13 +312,52 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The derived encoder must keep writing the bytes the hand-written
+    /// encoder it replaced wrote, so `status` readers see no change.
+    #[test]
+    fn status_file_bytes_are_pinned() {
+        let dir = tmpdir("status_pinned");
+        let mut s = snapshot();
+        s.timing.throughput_chunks_per_s = 1e3 / 41.5;
+        s.write(&dir).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(dir.join(STATUS_FILE)).unwrap(),
+            r#"{
+  "schema_version": 1,
+  "kind": "faults",
+  "state": "running",
+  "pid": 4242,
+  "config_hash": "00ff00ff00ff00ff",
+  "chunks_total": 8,
+  "chunks_done": 3,
+  "chunks_replayed": 1,
+  "chunks_executed": 2,
+  "outcomes": {
+    "masked": 12,
+    "sdc": 1
+  },
+  "timing": {
+    "updated_unix_ms": 1700000000000,
+    "elapsed_ms": 1234,
+    "ewma_chunk_ms": 41.5,
+    "throughput_chunks_per_s": 24.096385542168676,
+    "eta_ms": 208
+  }
+}
+"#
+        );
+        assert_eq!(StatusSnapshot::read(&dir).unwrap(), s);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn status_rejects_unknown_schema_version() {
-        let mut v = snapshot().to_value();
+        let mut v = snapshot().to_document();
         if let Value::Obj(entries) = &mut v {
             entries[0].1 = Value::Num(99.0);
         }
-        let err = StatusSnapshot::from_value(&v).unwrap_err();
+        let err = read_versioned::<StatusSnapshot>(&v, "status", TELEMETRY_SCHEMA_VERSION)
+            .unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
     }
 

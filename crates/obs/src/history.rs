@@ -25,8 +25,10 @@ use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::Path;
 
-use crate::events::{req, req_str, req_u64};
-use crate::json::{self, Value};
+use serde::value;
+use serde::{Deserialize, Serialize};
+
+use crate::events::{read_versioned, versioned};
 
 /// History index file name (lives next to the reports it indexes).
 pub const HISTORY_FILE: &str = "history.jsonl";
@@ -37,8 +39,9 @@ pub const HISTORY_SCHEMA_VERSION: u64 = 1;
 /// Default `--check` flagging threshold, in percent relative delta.
 pub const DEFAULT_CHECK_THRESHOLD_PCT: f64 = 10.0;
 
-/// One completed run, as recorded in `history.jsonl`.
-#[derive(Debug, Clone, PartialEq)]
+/// One completed run, as recorded in `history.jsonl`: each line is this
+/// struct's derived encoding with `schema_version` prepended.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistoryEntry {
     /// Run kind: `"faults"`, `"fuzz"`, `"explore"`, `"profile"`, `"perfgate"`.
     pub kind: String,
@@ -57,85 +60,18 @@ pub struct HistoryEntry {
     pub lanes: u64,
     /// Deterministic key metrics — the regression-comparison surface.
     pub metrics: BTreeMap<String, f64>,
-    /// Wall clock: when the run finished (ms since Unix epoch). Quarantined
-    /// under `timing` in the serialized form; never threshold-compared.
-    pub unix_ms: u64,
-    /// Wall clock: how long the run took, in ms. Quarantined likewise.
-    pub wall_ms: u64,
+    /// Wall-clock fields, quarantined; never threshold-compared.
+    pub timing: HistoryTiming,
 }
 
-impl HistoryEntry {
-    /// Renders the entry as a JSON value (stable field order, timing last).
-    pub fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "schema_version".to_string(),
-                Value::Num(HISTORY_SCHEMA_VERSION as f64),
-            ),
-            ("kind".to_string(), Value::Str(self.kind.clone())),
-            (
-                "config_hash".to_string(),
-                Value::Str(self.config_hash.clone()),
-            ),
-            ("command".to_string(), Value::Str(self.command.clone())),
-            (
-                "pkg_version".to_string(),
-                Value::Str(self.pkg_version.clone()),
-            ),
-            ("host_cores".to_string(), Value::Num(self.host_cores as f64)),
-            ("workers".to_string(), Value::Num(self.workers as f64)),
-            ("lanes".to_string(), Value::Num(self.lanes as f64)),
-            (
-                "metrics".to_string(),
-                Value::Obj(
-                    self.metrics
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::Num(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "timing".to_string(),
-                Value::Obj(vec![
-                    ("unix_ms".to_string(), Value::Num(self.unix_ms as f64)),
-                    ("wall_ms".to_string(), Value::Num(self.wall_ms as f64)),
-                ]),
-            ),
-        ])
-    }
-
-    /// Decodes an entry from one parsed history line.
-    pub fn from_value(v: &Value) -> Result<HistoryEntry, String> {
-        let version = req_u64(v, "schema_version")?;
-        if version != HISTORY_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported history schema_version {version} (expected {HISTORY_SCHEMA_VERSION})"
-            ));
-        }
-        let mut metrics = BTreeMap::new();
-        for (k, n) in req(v, "metrics")?
-            .as_object()
-            .ok_or_else(|| "`metrics` is not an object".to_string())?
-        {
-            let n = n
-                .as_f64()
-                .ok_or_else(|| format!("metric `{k}` is not a number"))?;
-            metrics.insert(k.clone(), n);
-        }
-        let timing = req(v, "timing")?;
-        Ok(HistoryEntry {
-            kind: req_str(v, "kind")?.to_string(),
-            config_hash: req_str(v, "config_hash")?.to_string(),
-            command: req_str(v, "command")?.to_string(),
-            pkg_version: req_str(v, "pkg_version")?.to_string(),
-            host_cores: req_u64(v, "host_cores")?,
-            workers: req_u64(v, "workers")?,
-            lanes: req_u64(v, "lanes")?,
-            metrics,
-            unix_ms: req_u64(timing, "unix_ms")?,
-            wall_ms: req_u64(timing, "wall_ms")?,
-        })
-    }
+/// Wall-clock fields of a [`HistoryEntry`], structurally quarantined like
+/// [`crate::events::StatusTiming`].
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct HistoryTiming {
+    /// When the run finished (ms since Unix epoch).
+    pub unix_ms: u64,
+    /// How long the run took, in ms.
+    pub wall_ms: u64,
 }
 
 /// Appends one entry to the history file at `path` (creating parent
@@ -146,7 +82,7 @@ pub fn append(path: &Path, entry: &HistoryEntry) -> io::Result<()> {
             std::fs::create_dir_all(parent)?;
         }
     }
-    let mut line = json::to_compact(&entry.to_value());
+    let mut line = value::to_compact(&versioned(entry, HISTORY_SCHEMA_VERSION));
     line.push('\n');
     let mut file = std::fs::OpenOptions::new()
         .append(true)
@@ -169,10 +105,10 @@ pub fn read(path: &Path) -> Result<Vec<HistoryEntry>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = json::parse(line)
+        let v = value::parse(line)
             .map_err(|e| format!("{}:{}: malformed history line: {e}", path.display(), i + 1))?;
         out.push(
-            HistoryEntry::from_value(&v)
+            read_versioned(&v, "history", HISTORY_SCHEMA_VERSION)
                 .map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?,
         );
     }
@@ -292,13 +228,13 @@ pub fn check(entries: &[HistoryEntry], threshold_pct: f64) -> Result<CheckOutcom
         });
     }
     let flagged = deltas.iter().filter(|d| d.flagged).count();
-    let wall_delta_pct = (baseline.wall_ms > 0).then(|| {
-        (newest.wall_ms as f64 - baseline.wall_ms as f64) / baseline.wall_ms as f64 * 100.0
-    });
+    let (base_wall, new_wall) = (baseline.timing.wall_ms, newest.timing.wall_ms);
+    let wall_delta_pct =
+        (base_wall > 0).then(|| (new_wall as f64 - base_wall as f64) / base_wall as f64 * 100.0);
     Ok(CheckOutcome::Compared {
         kind: newest.kind.clone(),
         config_hash: newest.config_hash.clone(),
-        baseline_unix_ms: baseline.unix_ms,
+        baseline_unix_ms: baseline.timing.unix_ms,
         deltas,
         wall_delta_pct,
         flagged,
@@ -330,20 +266,50 @@ mod tests {
             workers: 2,
             lanes: 4,
             metrics,
-            unix_ms: 1_700_000_000_000,
-            wall_ms: 900,
+            timing: HistoryTiming {
+                unix_ms: 1_700_000_000_000,
+                wall_ms: 900,
+            },
         }
     }
 
     #[test]
     fn entry_round_trips_and_quarantines_timing() {
         let e = entry("abcd", 0.75);
-        let v = e.to_value();
+        let v = versioned(&e, HISTORY_SCHEMA_VERSION);
         // Wall-clock fields live only under `timing`.
         assert!(v.get("unix_ms").is_none());
         assert!(v.get("wall_ms").is_none());
         assert!(v.get("timing").and_then(|t| t.get("wall_ms")).is_some());
-        assert_eq!(HistoryEntry::from_value(&v).unwrap(), e);
+        assert_eq!(
+            read_versioned::<HistoryEntry>(&v, "history", HISTORY_SCHEMA_VERSION).unwrap(),
+            e
+        );
+    }
+
+    /// The derived encoder must keep writing the bytes the hand-written
+    /// encoder it replaced wrote, so old and new history lines interleave.
+    #[test]
+    fn history_line_bytes_are_pinned() {
+        let dir = tmpdir("pinned");
+        let path = dir.join(HISTORY_FILE);
+        let mut e = entry("abcd", 0.75);
+        e.metrics.insert("wall_s".to_string(), 0.1 + 0.2);
+        e.metrics.insert("big".to_string(), 1e21);
+        append(&path, &e).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            concat!(
+                r#"{"schema_version":1,"kind":"faults","config_hash":"abcd","#,
+                r#""command":"faults --rows 4 --cols 4","pkg_version":"0.1.0","#,
+                r#""host_cores":8,"workers":2,"lanes":4,"metrics":{"big":1e21,"#,
+                r#""detection_coverage":0.75,"faults":64,"wall_s":0.30000000000000004},"#,
+                r#""timing":{"unix_ms":1700000000000,"wall_ms":900}}"#,
+                "\n"
+            )
+        );
+        assert_eq!(read(&path).unwrap(), [e]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -364,7 +330,7 @@ mod tests {
     fn check_flags_only_deltas_beyond_threshold() {
         let baseline = entry("aa", 0.50);
         let mut current = entry("aa", 0.51); // +2%: below a 10% threshold
-        current.unix_ms += 1000;
+        current.timing.unix_ms += 1000;
         let out = check(&[baseline.clone(), current], 10.0).unwrap();
         match out {
             CheckOutcome::Compared { flagged, deltas, .. } => {
@@ -392,7 +358,7 @@ mod tests {
     fn check_ignores_wall_time_for_flagging() {
         let baseline = entry("aa", 0.5);
         let mut slow = entry("aa", 0.5);
-        slow.wall_ms = baseline.wall_ms * 50; // 50× slower wall clock
+        slow.timing.wall_ms = baseline.timing.wall_ms * 50; // 50× slower wall clock
         let out = check(&[baseline, slow], 10.0).unwrap();
         match out {
             CheckOutcome::Compared {

@@ -84,7 +84,6 @@ mod clock;
 pub mod events;
 pub mod fs;
 pub mod history;
-pub mod json;
 mod manifest;
 mod metrics;
 mod session;

@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 
 use serde::Serialize;
 
-use crate::json;
 
 /// Current report schema version. Bump when the JSON report layout changes
 /// incompatibly; readers reject anything newer than what they know.
@@ -104,7 +103,7 @@ impl Provenance {
 
 /// Pulls the top-level `schema_version` out of a JSON report, if present.
 pub fn extract_schema_version(report_json: &str) -> Option<u32> {
-    let doc = json::parse(report_json).ok()?;
+    let doc = serde::value::parse(report_json).ok()?;
     let v = doc.get("schema_version")?.as_u64()?;
     u32::try_from(v).ok()
 }

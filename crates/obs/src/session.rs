@@ -213,7 +213,7 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use serde::value::{self, Value};
 
     fn sample_session() -> Session {
         let mk = |name: &str, path: &str, thread: &str, seq, depth, start, dur| FinishedSpan {
@@ -244,19 +244,19 @@ mod tests {
     fn chrome_trace_is_well_formed_and_round_trips() {
         let session = sample_session();
         let trace = session.to_chrome_trace(None);
-        let doc = json::parse(&trace).expect("trace must be valid JSON");
+        let doc = value::parse(&trace).expect("trace must be valid JSON");
         assert_eq!(
-            doc.get("schema_version").and_then(json::Value::as_u64),
+            doc.get("schema_version").and_then(Value::as_u64),
             Some(u64::from(crate::manifest::SCHEMA_VERSION))
         );
         let events = doc
             .get("traceEvents")
-            .and_then(json::Value::as_array)
+            .and_then(Value::as_array)
             .expect("traceEvents array");
         // 3 thread_name metadata events (main, w00, w01) + 3 X events.
         assert_eq!(events.len(), 6);
         for ev in events {
-            let ph = ev.get("ph").and_then(json::Value::as_str).unwrap();
+            let ph = ev.get("ph").and_then(Value::as_str).unwrap();
             assert!(ph == "M" || ph == "X");
             assert!(ev.get("pid").is_some());
             assert!(ev.get("tid").is_some());
@@ -269,19 +269,19 @@ mod tests {
         // Round-trip: the parsed event data reconstructs the span set.
         let xs: Vec<_> = events
             .iter()
-            .filter(|e| e.get("ph").and_then(json::Value::as_str) == Some("X"))
+            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
             .collect();
         assert_eq!(xs.len(), session.spans.len());
         for (ev, span) in xs.iter().zip(&session.spans) {
             assert_eq!(
-                ev.get("name").and_then(json::Value::as_str),
+                ev.get("name").and_then(Value::as_str),
                 Some(span.name.as_str())
             );
-            assert_eq!(ev.get("ts").and_then(json::Value::as_u64), Some(span.start_us));
-            assert_eq!(ev.get("dur").and_then(json::Value::as_u64), Some(span.dur_us));
+            assert_eq!(ev.get("ts").and_then(Value::as_u64), Some(span.start_us));
+            assert_eq!(ev.get("dur").and_then(Value::as_u64), Some(span.dur_us));
             let args = ev.get("args").unwrap();
             assert_eq!(
-                args.get("path").and_then(json::Value::as_str),
+                args.get("path").and_then(Value::as_str),
                 Some(span.path.as_str())
             );
         }

@@ -230,13 +230,9 @@ mod tests {
             interrupt: Some(flag),
             ..crate::DurabilityOptions::default()
         };
-        let spec = crate::journal::ChunkSpec {
-            kind: "faults",
-            decode: &|_| Err("nothing replays without a journal".to_string()),
-            count_outcomes: &|_: &u64| Default::default(),
-        };
         let mut executed = 0usize;
-        let (chunks, stats) = crate::journal::run_chunked(&opts, 0xfeed, 3, &spec, |_| {
+        let count = |_: &u64| Default::default();
+        let (chunks, stats) = crate::journal::run_chunked(&opts, 0xfeed, 3, "faults", count, |_| {
             executed += 1;
             0u64
         })

@@ -14,6 +14,14 @@
 //! runs the same chunks in memory and never touches JSON; [`run_items`] is
 //! the per-item policy (watchdog, retry, quarantine) every chunk uses.
 //!
+//! Chunk results are journaled with their derived `Serialize` encoding and
+//! replayed with the derived `Deserialize` decoding, which reads back
+//! exactly the shapes the encoder writes: re-serializing a replayed chunk
+//! reproduces its payload byte-for-byte, which is what makes a resumed
+//! report byte-identical. A payload that passes its checksum but does not
+//! decode strictly (an out-of-range or fractional integer, a missing field)
+//! is a [`JournalError::Decode`] naming the field.
+//!
 //! # Journal format
 //!
 //! One file, `campaign.journal`, inside the `--resume` directory:
@@ -56,7 +64,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use tensorlib_linalg::par::{panic_message, par_map_catch_ctl, CatchOutcome, MapControl};
 
 /// Journal file name inside the `--resume` directory.
@@ -468,33 +476,19 @@ pub struct RunStats {
     pub interrupted: bool,
 }
 
-/// How one campaign's typed chunk results meet the journal and telemetry.
-/// Each campaign module owns its chunk schema, so it supplies the decoder
-/// and the counter; [`run_chunked`] owns the chunk loop, so it owns when
-/// they run.
-pub struct ChunkSpec<'a, C> {
-    /// Campaign kind: `"faults"`, `"fuzz"`, or `"explore"`.
-    pub kind: &'a str,
-    /// Decodes a replayed journal payload back into a chunk result — the
-    /// inverse of `serde_json::to_string`, so re-serializing the decoded
-    /// value reproduces the payload byte-for-byte.
-    pub decode: &'a dyn Fn(&str) -> Result<C, String>,
-    /// Counts outcomes in one chunk result (e.g. `{"masked": 12, "sdc":
-    /// 1}`) for telemetry. Runs over replayed chunks too, so status counters
-    /// cover the whole campaign, not just this process's share.
-    pub count_outcomes: &'a dyn Fn(&C) -> BTreeMap<String, u64>,
-}
-
 /// Runs a campaign as `total_chunks` deterministic work units: the one
 /// campaign loop behind every faults, fuzz and explore run.
 ///
 /// Without a journal directory the chunks run in memory and their typed
 /// results are returned as they are; nothing is encoded or decoded. With
-/// one, chunks already in the journal are decoded with `spec.decode`
-/// instead of calling `exec`, and each newly executed chunk is serialized
-/// once and appended (and fsynced) before the next chunk starts; unless
-/// `opts.telemetry_off`, the run also maintains `events.jsonl` and
-/// `status.json` in the directory (see [`tensorlib_obs::events`]).
+/// one, chunks already in the journal are decoded instead of calling
+/// `exec`, and each newly executed chunk is serialized once and appended
+/// (and fsynced) before the next chunk starts; unless `opts.telemetry_off`,
+/// the run also maintains `events.jsonl` and `status.json` in the directory
+/// (see [`tensorlib_obs::events`]). `kind` (`"faults"`, `"fuzz"`,
+/// `"explore"`) labels the telemetry, and `count_outcomes` counts one chunk
+/// result's outcomes for it (e.g. `{"masked": 12, "sdc": 1}`), replayed
+/// chunks included, so status counters cover the whole campaign.
 ///
 /// Missing chunks run in ascending index order. The interrupt latch is
 /// checked *between* chunks — an in-flight chunk always drains to
@@ -513,15 +507,17 @@ pub struct ChunkSpec<'a, C> {
 /// Journal open/append failures, and [`JournalError::Decode`] for a
 /// replayed payload that does not decode. Without a journal directory the
 /// run cannot fail.
-pub fn run_chunked<C, F>(
+pub fn run_chunked<C, N, F>(
     opts: &DurabilityOptions,
     config_hash: u64,
     total_chunks: usize,
-    spec: &ChunkSpec<'_, C>,
+    kind: &str,
+    count_outcomes: N,
     mut exec: F,
 ) -> Result<(Vec<C>, RunStats), JournalError>
 where
-    C: Serialize,
+    C: Serialize + Deserialize,
+    N: Fn(&C) -> BTreeMap<String, u64>,
     F: FnMut(usize) -> C,
 {
     let mut journal = match &opts.dir {
@@ -535,7 +531,9 @@ where
     };
     if let Some(j) = &journal {
         for (&idx, payload) in j.entries() {
-            slots[idx as usize] = Some((spec.decode)(payload).map_err(JournalError::Decode)?);
+            let chunk = serde_json::from_str(payload)
+                .map_err(|e| JournalError::Decode(format!("chunk {idx}: {e}")))?;
+            slots[idx as usize] = Some(chunk);
             stats.chunks_replayed += 1;
         }
     }
@@ -543,9 +541,9 @@ where
         Some(dir) if !opts.telemetry_off => {
             let mut replayed = BTreeMap::new();
             for chunk in slots.iter().flatten() {
-                merge_counts(&mut replayed, &(spec.count_outcomes)(chunk));
+                merge_counts(&mut replayed, &count_outcomes(chunk));
             }
-            Telemetry::begin(dir, spec.kind, config_hash, &stats, replayed)
+            Telemetry::begin(dir, kind, config_hash, &stats, replayed)
         }
         _ => None,
     };
@@ -564,7 +562,7 @@ where
             j.append(i as u32, &payload)?;
         }
         if let Some(t) = &mut telemetry {
-            t.chunk_completed(i, (spec.count_outcomes)(&chunk), chunk_started.elapsed());
+            t.chunk_completed(i, count_outcomes(&chunk), chunk_started.elapsed());
         }
         *slot = Some(chunk);
         stats.chunks_executed += 1;
@@ -723,72 +721,10 @@ fn merge_counts(into: &mut BTreeMap<String, u64>, from: &BTreeMap<String, u64>) 
     }
 }
 
-// ---------------------------------------------------------------------------
-// Replay decode helpers.
-//
-// The vendored serde stack only *writes* JSON (its `Deserialize` is a marker
-// trait), so journal replay decodes chunk payloads with the observability
-// crate's recursive-descent parser and hand-reconstructs the typed results.
-// These helpers give the campaign modules uniform field access with
-// descriptive errors; every decoded chunk is re-serialized through the normal
-// serde path, which is what makes a resumed report byte-identical.
-// ---------------------------------------------------------------------------
-
-use tensorlib_obs::json::Value;
-
-/// Looks up `key` in a JSON object, with a descriptive error.
-pub fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-/// Decodes object field `key` as an unsigned integer.
-pub fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
-}
-
-/// Decodes object field `key` as a float.
-pub fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-/// Decodes object field `key` as a bool.
-pub fn field_bool(v: &Value, key: &str) -> Result<bool, String> {
-    match field(v, key)? {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(format!("field `{key}` is not a bool")),
-    }
-}
-
-/// Decodes object field `key` as a string slice.
-pub fn field_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))
-}
-
-/// Decodes object field `key` as an optional string (`null` → `None`).
-pub fn field_opt_string(v: &Value, key: &str) -> Result<Option<String>, String> {
-    match field(v, key)? {
-        Value::Null => Ok(None),
-        Value::Str(s) => Ok(Some(s.clone())),
-        _ => Err(format!("field `{key}` is neither null nor a string")),
-    }
-}
-
-/// Decodes object field `key` as an array slice.
-pub fn field_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("field `{key}` is not an array"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tl_journal_{tag}_{}", std::process::id()));
@@ -894,10 +830,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn decode_u64(payload: &str) -> Result<u64, String> {
-        payload.parse().map_err(|e| format!("{e}"))
-    }
-
     /// Counts every chunk as `done`; chunk values of 100 and up also count
     /// as `degraded`.
     fn count_marks(chunk: &u64) -> BTreeMap<String, u64> {
@@ -907,14 +839,6 @@ mod tests {
             counts.insert("degraded".to_string(), 1);
         }
         counts
-    }
-
-    fn marks_spec() -> ChunkSpec<'static, u64> {
-        ChunkSpec {
-            kind: "faults",
-            decode: &decode_u64,
-            count_outcomes: &count_marks,
-        }
     }
 
     #[test]
@@ -927,10 +851,9 @@ mod tests {
             interrupt: Some(flag.clone()),
             ..DurabilityOptions::default()
         };
-        let spec = marks_spec();
         // First run: interrupt after chunk 1 executes.
         let flag2 = flag.clone();
-        let (chunks, stats) = run_chunked(&opts, hash, 4, &spec, |i| {
+        let (chunks, stats) = run_chunked(&opts, hash, 4, "faults", count_marks, |i| {
             if i == 1 {
                 flag2.store(true, Ordering::SeqCst);
             }
@@ -943,7 +866,7 @@ mod tests {
         // Resume: chunks 0/1 replay, 2/3 execute, nothing re-runs.
         flag.store(false, Ordering::SeqCst);
         let mut ran = Vec::new();
-        let (chunks, stats) = run_chunked(&opts, hash, 4, &spec, |i| {
+        let (chunks, stats) = run_chunked(&opts, hash, 4, "faults", count_marks, |i| {
             ran.push(i);
             10 * i as u64
         })
@@ -956,18 +879,75 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn undecodable_replay_is_a_decode_error() {
-        let dir = tmpdir("undecodable");
+    /// Appends `payload` as chunk 0 of a fresh two-chunk journal (with a
+    /// valid checksum) and returns the error replaying it as a `C` gives.
+    fn replay_error<C: Serialize + Deserialize>(tag: &str, payload: &str, fill: C) -> String {
+        let dir = tmpdir(tag);
         let hash = config_hash("faults", 1, 2, "cfg");
         Journal::open(&dir, hash, 2)
             .unwrap()
-            .append(0, "not a number")
+            .append(0, payload)
             .unwrap();
         let opts = DurabilityOptions::with_dir(&dir);
-        let err = run_chunked(&opts, hash, 2, &marks_spec(), |i| i as u64).unwrap_err();
-        assert!(matches!(err, JournalError::Decode(_)), "got {err:?}");
+        let mut fill = Some(fill);
+        let err = run_chunked(&opts, hash, 2, "faults", |_: &C| BTreeMap::new(), |_| {
+            fill.take().unwrap()
+        })
+        .map(|_| ())
+        .unwrap_err();
         std::fs::remove_dir_all(&dir).unwrap();
+        match err {
+            JournalError::Decode(msg) => msg,
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn undecodable_replay_is_a_decode_error() {
+        let msg = replay_error("undecodable", "not a number", 0u64);
+        assert!(msg.contains("chunk 0"), "{msg}");
+
+        // Well-formed JSON whose values do not fit their fields must not be
+        // coerced: a bit index past u32 is not bit 1, and a fractional STT
+        // cell is not its truncation.
+        use crate::resilience::{FaultClass, FaultOutcome};
+        use crate::verify::{sample_pipeline, Finding, ModeReport};
+        use tensorlib_hw::fault::FaultSpec;
+        let outcome = FaultOutcome {
+            fault: FaultSpec::stuck_at("pe_0_0.acc", 1, true),
+            class: FaultClass::Masked,
+            detectors: Vec::new(),
+            error: None,
+        };
+        let payload = serde_json::to_string(&vec![outcome]).unwrap();
+        assert!(payload.contains(r#""bit":1,"#), "{payload}");
+        let bad = payload.replace(r#""bit":1,"#, r#""bit":4294967297,"#);
+        let msg = replay_error("bad_bit", &bad, Vec::<FaultOutcome>::new());
+        assert!(msg.contains("field `bit`: 4294967297 is out of range for u32"), "{msg}");
+
+        let mut sample = sample_pipeline(3);
+        sample.stt = [[1, 0, 0], [0, 1, 0], [1, 1, 1]];
+        let report = ModeReport {
+            seeds_run: 1,
+            rejected: 0,
+            degraded: 0,
+            findings: vec![Finding {
+                mode: "pipeline".into(),
+                seed: 3,
+                kind: "functional".into(),
+                detail: "mismatch".into(),
+                shrunk_nets: None,
+                modules_json: None,
+                rust_snippet: None,
+                pipeline: Some(sample),
+            }],
+        };
+        let payload = serde_json::to_string(&report).unwrap();
+        let stt = r#""stt":[[1,0,0],[0,1,0],[1,1,1]]"#;
+        assert!(payload.contains(stt), "{payload}");
+        let bad = payload.replace(stt, r#""stt":[[1,0,0],[0,1.5,0],[1,1,1]]"#);
+        let msg = replay_error("bad_stt", &bad, report);
+        assert!(msg.contains("field `stt`: [1]: [1]: 1.5 is not an exact integer"), "{msg}");
     }
 
     #[test]
@@ -976,7 +956,7 @@ mod tests {
         let dir = tmpdir("telemetry");
         let hash = config_hash("faults", 1, 3, "cfg");
         let opts = DurabilityOptions::with_dir(&dir);
-        let (chunks, stats) = run_chunked(&opts, hash, 3, &marks_spec(), |i| {
+        let (chunks, stats) = run_chunked(&opts, hash, 3, "faults", count_marks, |i| {
             if i == 2 {
                 100
             } else {
@@ -1029,9 +1009,8 @@ mod tests {
             interrupt: Some(flag.clone()),
             ..DurabilityOptions::default()
         };
-        let spec = marks_spec();
         let flag2 = flag.clone();
-        let (_, stats) = run_chunked(&opts, hash, 4, &spec, |i| {
+        let (_, stats) = run_chunked(&opts, hash, 4, "faults", count_marks, |i| {
             if i == 1 {
                 flag2.store(true, Ordering::SeqCst);
             }
@@ -1045,7 +1024,7 @@ mod tests {
         // Resume: replayed chunks count into the snapshot via the same
         // outcome counter, so the totals cover the whole campaign.
         flag.store(false, Ordering::SeqCst);
-        let (_, stats) = run_chunked(&opts, hash, 4, &spec, |i| i as u64).unwrap();
+        let (_, stats) = run_chunked(&opts, hash, 4, "faults", count_marks, |i| i as u64).unwrap();
         assert_eq!(stats.chunks_replayed, 2);
         let status = StatusSnapshot::read(&dir).unwrap();
         assert_eq!(status.state, "finished");
@@ -1085,7 +1064,7 @@ mod tests {
             telemetry_off: true,
             ..DurabilityOptions::with_dir(&dir)
         };
-        run_chunked(&opts, hash, 2, &marks_spec(), |i| i as u64).unwrap();
+        run_chunked(&opts, hash, 2, "faults", count_marks, |i| i as u64).unwrap();
         assert!(!dir.join(EVENTS_FILE).exists());
         assert!(!dir.join(STATUS_FILE).exists());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1094,7 +1073,8 @@ mod tests {
     #[test]
     fn run_chunked_without_dir_runs_in_memory() {
         let opts = DurabilityOptions::default();
-        let (chunks, stats) = run_chunked(&opts, 0, 3, &marks_spec(), |i| i as u64).unwrap();
+        let (chunks, stats) =
+            run_chunked(&opts, 0, 3, "faults", count_marks, |i| i as u64).unwrap();
         assert_eq!(chunks, [0, 1, 2]);
         assert_eq!(stats.chunks_total, 3);
         assert_eq!(stats.chunks_executed, 3);

@@ -28,21 +28,20 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use tensorlib_dataflow::{Dataflow, LoopSelection, Stt};
 use tensorlib_hw::batch::BatchSim;
 use tensorlib_hw::design::{generate, AcceleratorDesign, HwConfig};
-use tensorlib_hw::fault::{enumerate_sites, sample_faults, FaultKind, FaultSpec, Hardening};
+use tensorlib_hw::fault::{enumerate_sites, sample_faults, FaultSpec, Hardening};
 use tensorlib_hw::interp::{elaborate_design, ElaborateError, FlatDesign, Interpreter};
 use tensorlib_hw::{ArrayConfig, HwError};
 use tensorlib_ir::workloads;
-use tensorlib_obs::json::Value;
 
-use crate::journal::{self, ChunkSpec, DurabilityOptions, ItemOutcome, JournalError, RunStats};
+use crate::journal::{self, DurabilityOptions, ItemOutcome, JournalError, RunStats};
 use crate::trace::fill_input_banks;
 
 /// Outcome class of one injected fault (standard fault-injection taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultClass {
     /// Outputs matched golden and no detector fired.
     Masked,
@@ -118,7 +117,7 @@ impl Default for CampaignConfig {
 }
 
 /// The fate of one injected fault.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultOutcome {
     /// The injected fault.
     pub fault: FaultSpec,
@@ -823,67 +822,8 @@ pub fn run_gemm_campaign_with_faults(
 }
 
 // ---------------------------------------------------------------------------
-// The chunked campaign runner and its journal codec.
+// The chunked campaign runner.
 // ---------------------------------------------------------------------------
-
-fn decode_fault_kind(v: &Value) -> Result<FaultKind, String> {
-    let entries = v
-        .as_object()
-        .ok_or_else(|| "fault kind is not an object".to_string())?;
-    let (tag, body) = entries
-        .first()
-        .ok_or_else(|| "fault kind object is empty".to_string())?;
-    match tag.as_str() {
-        "StuckAt" => Ok(FaultKind::StuckAt {
-            bit: journal::field_u64(body, "bit")? as u32,
-            value: journal::field_bool(body, "value")?,
-        }),
-        "TransientFlip" => Ok(FaultKind::TransientFlip {
-            bit: journal::field_u64(body, "bit")? as u32,
-            cycle: journal::field_u64(body, "cycle")?,
-        }),
-        "BankFlip" => Ok(FaultKind::BankFlip {
-            word: journal::field_u64(body, "word")? as usize,
-            bit: journal::field_u64(body, "bit")? as u32,
-            cycle: journal::field_u64(body, "cycle")?,
-        }),
-        "DropTransition" => Ok(FaultKind::DropTransition {
-            cycle: journal::field_u64(body, "cycle")?,
-        }),
-        other => Err(format!("unknown fault kind `{other}`")),
-    }
-}
-
-fn decode_fault_class(v: &Value) -> Result<FaultClass, String> {
-    match v.as_str() {
-        Some("Masked") => Ok(FaultClass::Masked),
-        Some("Detected") => Ok(FaultClass::Detected),
-        Some("Sdc") => Ok(FaultClass::Sdc),
-        Some("Degraded") => Ok(FaultClass::Degraded),
-        other => Err(format!("unknown fault class {other:?}")),
-    }
-}
-
-fn decode_outcome(v: &Value) -> Result<FaultOutcome, String> {
-    let fault = journal::field(v, "fault")?;
-    let detectors = journal::field_array(v, "detectors")?
-        .iter()
-        .map(|d| {
-            d.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "detector is not a string".to_string())
-        })
-        .collect::<Result<Vec<String>, String>>()?;
-    Ok(FaultOutcome {
-        fault: FaultSpec {
-            target: journal::field_str(fault, "target")?.to_string(),
-            kind: decode_fault_kind(journal::field(fault, "kind")?)?,
-        },
-        class: decode_fault_class(journal::field(v, "class")?)?,
-        detectors,
-        error: journal::field_opt_string(v, "error")?,
-    })
-}
 
 /// Telemetry outcome counter for one fault-campaign chunk: fault classes
 /// by name (`masked` / `detected` / `sdc` / `degraded`), plus `errors` for
@@ -901,19 +841,6 @@ fn count_fault_outcomes(outcomes: &[FaultOutcome]) -> BTreeMap<String, u64> {
         }
     }
     counts
-}
-
-/// Decodes one journaled chunk payload back into typed outcomes. Inverse of
-/// `serde_json::to_string(&Vec<FaultOutcome>)`: re-serializing the decoded
-/// outcomes reproduces the payload byte-for-byte, which is what keeps a
-/// resumed report identical to an uninterrupted one.
-fn decode_outcomes(payload: &str) -> Result<Vec<FaultOutcome>, String> {
-    let doc = tensorlib_obs::json::parse(payload)?;
-    doc.as_array()
-        .ok_or_else(|| "chunk payload is not an array".to_string())?
-        .iter()
-        .map(decode_outcome)
-        .collect()
 }
 
 /// Canonical config string for journal keying: the serialized config with
@@ -957,16 +884,13 @@ fn run_chunked_campaign(
         total_chunks,
         &canonical_config(cfg, variant),
     );
-    let spec = ChunkSpec {
-        kind: "faults",
-        decode: &decode_outcomes,
-        count_outcomes: &|outcomes: &Vec<FaultOutcome>| count_fault_outcomes(outcomes),
-    };
-    let (chunks, stats) = journal::run_chunked(durability, hash, total_chunks, &spec, |i| {
-        let lo = i * chunk_size;
-        let hi = (lo + chunk_size).min(faults.len());
-        drive_campaign(campaign, &faults[lo..hi], durability)
-    })?;
+    let count = |outcomes: &Vec<FaultOutcome>| count_fault_outcomes(outcomes);
+    let (chunks, stats) =
+        journal::run_chunked(durability, hash, total_chunks, "faults", count, |i| {
+            let lo = i * chunk_size;
+            let hi = (lo + chunk_size).min(faults.len());
+            drive_campaign(campaign, &faults[lo..hi], durability)
+        })?;
     Ok((campaign.report(chunks.into_iter().flatten().collect()), stats))
 }
 

@@ -19,6 +19,10 @@ cargo test --release -q --test functional_equivalence -- --ignored
 # interrupt latch model, durable resume, explore). Not yet --workspace: the
 # tensorlib-linalg recorder test is flaky under parallel test threads.
 cargo test -q -p tensorlib-sim -p tensorlib
+# Unit tests of the JSON stack and the telemetry crate: the derived codec,
+# the parser's surrogate/overflow/2^53 pins, and the status/history byte
+# pins.
+cargo test -q -p serde -p serde_derive -p serde_json -p tensorlib-obs
 cargo clippy -q --all-targets -- -D warnings
 
 # Observability battery (all are part of `cargo test` above; re-run by name).

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 
 use tensorlib::explore::{explore_outcome, ExploreOptions};
 use tensorlib::ir::workloads;
-use tensorlib_obs::json;
+use serde::value::{self, Value};
 
 /// Serializes tests that flip the process-global recording switch.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
@@ -100,19 +100,19 @@ fn sweep_trace_is_well_formed_and_covers_the_pipeline() {
     assert!(!outcome.points.is_empty());
 
     let trace = session.to_chrome_trace(None);
-    let doc = json::parse(&trace).expect("trace must parse as JSON");
+    let doc = value::parse(&trace).expect("trace must parse as JSON");
     assert_eq!(
-        doc.get("schema_version").and_then(json::Value::as_u64),
+        doc.get("schema_version").and_then(Value::as_u64),
         Some(u64::from(tensorlib_obs::SCHEMA_VERSION))
     );
     let events = doc
         .get("traceEvents")
-        .and_then(json::Value::as_array)
+        .and_then(Value::as_array)
         .expect("traceEvents array");
     let span_names: Vec<&str> = events
         .iter()
-        .filter(|e| e.get("ph").and_then(json::Value::as_str) == Some("X"))
-        .map(|e| e.get("name").and_then(json::Value::as_str).unwrap())
+        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+        .map(|e| e.get("name").and_then(Value::as_str).unwrap())
         .collect();
     assert_eq!(span_names.len(), session.spans.len(), "one X event per span");
     for phase in [
@@ -133,11 +133,11 @@ fn sweep_trace_is_well_formed_and_covers_the_pipeline() {
     // Worker threads appear under their stable labels.
     let thread_names: Vec<&str> = events
         .iter()
-        .filter(|e| e.get("ph").and_then(json::Value::as_str) == Some("M"))
+        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
         .map(|e| {
             e.get("args")
                 .and_then(|a| a.get("name"))
-                .and_then(json::Value::as_str)
+                .and_then(Value::as_str)
                 .unwrap()
         })
         .collect();
