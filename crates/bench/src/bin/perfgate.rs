@@ -49,8 +49,8 @@ const TRACE_OFF_OVERHEAD_CEILING_PCT: f64 = 3.0;
 const FAULT_ARMED_OVERHEAD_CEILING_PCT: f64 = 3.0;
 
 /// Framework observability (`tensorlib_obs`) must be pay-for-use as well:
-/// with recording disabled, the instrumentation left in the pipeline may
-/// cost at most this much of a sweep's wall-time.
+/// on a thread that is not recording, the instrumentation left in the
+/// pipeline may cost at most this much of a sweep's wall-time.
 const OBS_DISABLED_OVERHEAD_CEILING_PCT: f64 = 3.0;
 
 /// Lane width the batched-engine section runs at — the widest width the
@@ -267,8 +267,8 @@ struct BatchSimReport {
 struct ObsOverheadReport {
     scenario: String,
     /// Cost of one disabled [`tensorlib_obs::span`] call in nanoseconds —
-    /// the per-hook price every instrumented function pays when recording
-    /// is off (one relaxed atomic load).
+    /// the per-hook price every instrumented function pays when the thread
+    /// is not recording (one thread-local read).
     disabled_span_ns: f64,
     /// Spans a profiled run of the scenario records — i.e. how many times
     /// the disabled-mode check actually runs per sweep.
@@ -663,7 +663,6 @@ fn bench_batch_sim() -> BatchSimReport {
 /// a serial GEMM-16 sweep. Runs are interleaved best-of-3, and the enabled
 /// runs double as a determinism check: recording must not change results.
 fn bench_obs_overhead() -> ObsOverheadReport {
-    tensorlib_obs::disable();
     let iters = 4_000_000u64;
     let start = Instant::now();
     for _ in 0..iters {
@@ -685,12 +684,11 @@ fn bench_obs_overhead() -> ObsOverheadReport {
         let plain = explore(&kernel, &opts);
         disabled_best = disabled_best.min(start.elapsed().as_secs_f64());
 
-        tensorlib_obs::enable();
+        let recording = tensorlib_obs::Recording::start();
         let start = Instant::now();
         let profiled = explore(&kernel, &opts);
         enabled_best = enabled_best.min(start.elapsed().as_secs_f64());
-        let session = tensorlib_obs::drain();
-        tensorlib_obs::disable();
+        let session = recording.finish();
         spans_recorded = session.spans.len();
 
         assert_eq!(plain.len(), profiled.len(), "recording changed results");

@@ -1063,22 +1063,12 @@ struct ExploreReportDoc {
 }
 
 /// Builds the provenance manifest every JSON report embeds. Phase wall
-/// times come from the live span recorder when a `--profile` run has it
-/// enabled; otherwise only the `total` entry (measured around the command)
-/// is present.
+/// times come from the calling thread's own recording when a `--profile`
+/// run holds one; otherwise only the `total` entry (measured around the
+/// command) is present.
 fn provenance_for(command_echo: &str, seeds: Vec<u64>, workers: usize, total_us: u64) -> Provenance {
-    let mut p = Provenance::new(command_echo);
-    p.seeds = seeds;
-    p.workers = workers;
-    if tensorlib_obs::is_enabled() {
-        p.phase_wall_times_us = tensorlib_obs::snapshot()
-            .phase_totals()
-            .into_iter()
-            .map(|(name, (_count, total))| (name, total))
-            .collect();
-    }
-    p.phase_wall_times_us.insert("total".to_string(), total_us);
-    p
+    let session = tensorlib_obs::snapshot().unwrap_or_default();
+    provenance_from_session(&session, command_echo, seeds, workers, total_us)
 }
 
 /// Builds campaign durability options from the shared `--resume` /
@@ -2183,31 +2173,18 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 functional_verify: true,
                 ..ExploreOptions::default()
             };
-            let was_enabled = tensorlib_obs::is_enabled();
-            tensorlib_obs::enable();
+            let recording = tensorlib_obs::Recording::start();
             let outcome = explore_outcome(&kernel, &opts);
             // The sweep's functional verifier is a behavioural model; the
             // netlist-flattening and bytecode-compilation phases only run in
             // the cycle-accurate interpreter. Deep-measure the fastest point
             // so the trace covers those too.
             if let Some(best) = outcome.points.first() {
-                let measured = generate(&best.dataflow, &opts.hw).map_err(|err| e(&err)).and_then(
-                    |design| {
-                        tensorlib::sim::trace::measure(&design, &TraceConfig::counters_only(), 1)
-                            .map_err(|err| e(&err))
-                    },
-                );
-                if let Err(err) = measured {
-                    if !was_enabled {
-                        tensorlib_obs::disable();
-                    }
-                    return Err(err);
-                }
+                let design = generate(&best.dataflow, &opts.hw).map_err(|err| e(&err))?;
+                tensorlib::sim::trace::measure(&design, &TraceConfig::counters_only(), 1)
+                    .map_err(|err| e(&err))?;
             }
-            let session = tensorlib_obs::drain();
-            if !was_enabled {
-                tensorlib_obs::disable();
-            }
+            let session = recording.finish();
             let provenance = provenance_from_session(
                 &session,
                 &format!("profile {workload} --rows {rows} --cols {cols}"),
@@ -2217,27 +2194,37 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             );
             let mut table = format!(
                 "profiled {}: {} points, {} errors, {} skipped\n\n\
-                 {:<28} {:>8} {:>12} {:>10}\n",
+                 {:<28} {:>8} {:>12} {:>12} {:>10}\n",
                 kernel.name(),
                 outcome.points.len(),
                 outcome.errors.len(),
                 outcome.skipped,
                 "phase",
                 "count",
+                "self_us",
                 "total_us",
                 "mean_us",
             );
-            // Heaviest phases first (ties by name), so `--top` keeps the
-            // phases that dominate the wall time.
+            // Self time per phase (a path's last segment is its span name),
+            // heaviest first (ties by name), so `--top` keeps the phases
+            // where the wall time is actually spent, not their parents.
+            let mut self_us: std::collections::BTreeMap<&str, u64> =
+                std::collections::BTreeMap::new();
+            for (path, us) in session.self_times() {
+                let name = path.rsplit(';').next().unwrap_or(path);
+                *self_us.entry(name).or_insert(0) += us;
+            }
             let mut phases: Vec<(String, (u64, u64))> =
                 session.phase_totals().into_iter().collect();
-            phases.sort_by(|(a, (_, ta)), (b, (_, tb))| tb.cmp(ta).then_with(|| a.cmp(b)));
+            let self_of = |phase: &str| self_us.get(phase).copied().unwrap_or(0);
+            phases.sort_by(|(a, _), (b, _)| self_of(b).cmp(&self_of(a)).then_with(|| a.cmp(b)));
             let shown = top.max(1).min(phases.len());
             for (phase, (count, total_us)) in &phases[..shown] {
                 table.push_str(&format!(
-                    "{:<28} {:>8} {:>12} {:>10}\n",
+                    "{:<28} {:>8} {:>12} {:>12} {:>10}\n",
                     phase,
                     count,
+                    self_of(phase),
                     total_us,
                     total_us / (*count).max(1),
                 ));
@@ -2317,8 +2304,8 @@ pub fn run_coded(cmd: Command) -> Result<(String, u8), CliError> {
     }
 }
 
-/// [`provenance_for`], but reading phase wall times out of an already-drained
-/// [`tensorlib_obs::Session`] instead of the live recorder.
+/// [`provenance_for`], but reading phase wall times out of a finished
+/// [`tensorlib_obs::Session`].
 fn provenance_from_session(
     session: &tensorlib_obs::Session,
     command_echo: &str,
@@ -2376,14 +2363,9 @@ pub fn run_invocation_coded(inv: Invocation) -> Result<(String, u8), CliError> {
         return run_coded(inv.command);
     };
     let t0 = std::time::Instant::now();
-    let was_enabled = tensorlib_obs::is_enabled();
-    tensorlib_obs::enable();
-    let result = run_coded(inv.command);
-    let session = tensorlib_obs::drain();
-    if !was_enabled {
-        tensorlib_obs::disable();
-    }
-    let (output, code) = result?;
+    let recording = tensorlib_obs::Recording::start();
+    let (output, code) = run_coded(inv.command)?;
+    let session = recording.finish();
     let provenance = provenance_from_session(
         &session,
         &inv.echo,
@@ -3233,10 +3215,6 @@ mod tests {
         assert_eq!(seeds_of(&faults), vec![1]);
     }
 
-    /// Serializes the tests below that flip the process-wide recording
-    /// switch, so their sessions never observe each other's spans.
-    static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn run_explore_json_report_lists_top_points() {
         let out = run(Command::Explore {
@@ -3260,7 +3238,6 @@ mod tests {
 
     #[test]
     fn run_profile_emits_phase_table_and_trace() {
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let dir = std::env::temp_dir().join(format!("tl_profile_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("p.trace.json");
@@ -3273,7 +3250,7 @@ mod tests {
             out: trace_path.to_str().unwrap().into(),
         })
         .unwrap();
-        assert!(!tensorlib_obs::is_enabled(), "profile must restore disabled state");
+        assert!(!tensorlib_obs::is_recording(), "profile left a recorder");
         for phase in [
             "dse.stt_enumeration",
             "dse.classification",
@@ -3297,7 +3274,6 @@ mod tests {
 
     #[test]
     fn run_invocation_global_profile_writes_trace_and_keeps_output() {
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let dir = std::env::temp_dir().join(format!("tl_inv_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("stats.trace.json");
@@ -3316,7 +3292,7 @@ mod tests {
         ]);
         let inv = parse_invocation(&args).unwrap();
         let out = run_invocation(inv).unwrap();
-        assert!(!tensorlib_obs::is_enabled(), "--profile must restore disabled state");
+        assert!(!tensorlib_obs::is_recording(), "--profile left a recorder");
         // The command's own output is unchanged and the note rides along.
         assert!(out.contains("\"cycles\""), "{out}");
         assert!(out.contains("wrote profile trace"), "{out}");
@@ -3325,6 +3301,68 @@ mod tests {
         // The provenance echoes the full argument vector.
         assert!(trace.contains("stats gemm:4,4,4 MNK-SST"), "{trace}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `profile` under the global `--profile`: the inner recording shadows
+    /// the outer one, both traces come out whole, and afterwards the calling
+    /// thread records nothing.
+    #[test]
+    fn run_invocation_nests_profile_inside_global_profile() {
+        let dir = tmpdir("nested_profile");
+        let outer = dir.join("outer.trace.json");
+        let inner = dir.join("p.trace.json");
+        let args = sv(&[
+            "--profile",
+            outer.to_str().unwrap(),
+            "profile",
+            "gemm:2,2,2",
+            "--rows",
+            "2",
+            "--cols",
+            "2",
+            "-o",
+            inner.to_str().unwrap(),
+        ]);
+        run_invocation(parse_invocation(&args).unwrap()).unwrap();
+        assert!(!tensorlib_obs::is_recording(), "recorder left installed");
+        for path in [&outer, &inner] {
+            let text = std::fs::read_to_string(path).unwrap();
+            let doc = serde::value::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            let events = doc.get("traceEvents").and_then(|t| t.as_array());
+            assert!(events.is_some(), "{path:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A recording on another thread never leaks into a non-profiled
+    /// command's report: its provenance carries only the `total` phase.
+    #[test]
+    fn unprofiled_report_ignores_another_threads_recording() {
+        let (started, start) = std::sync::mpsc::channel();
+        let (stop, stopped) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let recording = tensorlib_obs::Recording::start();
+            let _busy = tensorlib_obs::span("holder");
+            started.send(()).unwrap();
+            stopped.recv().unwrap();
+            drop(_busy);
+            recording.finish()
+        });
+        start.recv().unwrap();
+        let out = run(parse_args(&sv(&["stats", "gemm:4,4,4", "MNK-SST", "-o", "-"])).unwrap());
+        let out = out.unwrap();
+        stop.send(()).unwrap();
+        let held = holder.join().unwrap();
+        let doc = serde::value::parse(&out).unwrap();
+        let phases = doc
+            .get("provenance")
+            .and_then(|p| p.get("phase_wall_times_us"))
+            .and_then(|p| p.as_object())
+            .unwrap_or_else(|| panic!("no phase_wall_times_us:\n{out}"));
+        let names: Vec<&str> = phases.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["total"], "{out}");
+        let held_names: Vec<&str> = held.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(held_names, ["holder"], "the holder saw foreign spans");
     }
 
     fn tmpdir(tag: &str) -> PathBuf {

@@ -259,7 +259,7 @@ fn score_jobs(
         |&(df, h)| vec![point_name(df, h)],
         |&(df, h)| {
             let _point_span = tensorlib_obs::span("explore.point");
-            let t0 = tensorlib_obs::is_enabled().then(tensorlib_obs::now_micros);
+            let t0 = tensorlib_obs::is_recording().then(tensorlib_obs::now_micros);
             let result = score(kernel, opts, df, h, golden);
             if let Some(t0) = t0 {
                 tensorlib_obs::hist_record(

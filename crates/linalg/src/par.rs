@@ -11,13 +11,10 @@
 //! produce regardless of worker count or scheduling.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Monotonic pool id stamped onto worker-thread labels while profiling, so
-/// spans from successive pools that reuse `w00`, `w01`, … stay
-/// distinguishable (and sortable) in a trace.
-static POOL_GENERATION: AtomicU64 = AtomicU64::new(0);
+use tensorlib_obs::Recorder;
 
 /// Resolves a requested worker count: `0` means one worker per available
 /// core; the result is clamped to `[1, items]` so empty or tiny inputs never
@@ -40,13 +37,17 @@ pub fn effective_workers(requested: usize, items: usize) -> usize {
 /// behaviour, which keeps single-threaded callers allocation- and
 /// determinism-identical to a plain iterator chain.
 ///
-/// While `tensorlib_obs` recording is enabled the pool switches from the
-/// atomic cursor to round-robin chunk assignment (worker `w` takes chunks
-/// `w, w + workers, …`), labels each worker thread `w00`, `w01`, … by pool
-/// slot, and records pool/chunk/worker-utilization metrics. Because pieces
-/// are stitched back into input order either way, the *results* are
-/// identical with profiling on or off — only the span→thread assignment
-/// becomes scheduling-independent, which is what makes traces diffable.
+/// When the calling thread is recording (a `tensorlib_obs::Recording`), the
+/// pool attaches each worker to the caller's recorder under its slot label
+/// (`w00`, `w01`, …) and the recording's next pool generation; each worker's
+/// spans and metrics reach that recording before its closure returns, and
+/// no other recording sees them. It also switches from the atomic cursor to
+/// round-robin chunk assignment (worker `w` takes chunks
+/// `w, w + workers, …`) and records pool/chunk/worker-utilization metrics.
+/// Because pieces are stitched back into input order either way, the
+/// *results* are identical with profiling on or off — only the span→thread
+/// assignment becomes scheduling-independent, which is what makes traces
+/// diffable.
 ///
 /// # Panics
 ///
@@ -72,12 +73,10 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let chunk = chunk.max(1);
-    let profiled = tensorlib_obs::is_enabled();
-    let generation = if profiled {
-        POOL_GENERATION.fetch_add(1, Ordering::Relaxed) + 1
-    } else {
-        0
-    };
+    let recorder = Recorder::current();
+    let profiled = recorder.is_some();
+    let generation = recorder.as_ref().map_or(0, Recorder::next_generation);
+    let recorder = &recorder;
     let _pool_span = tensorlib_obs::span("par.pool");
     if profiled {
         tensorlib_obs::counter_add("par.pools", 1);
@@ -91,9 +90,12 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
-                    if profiled {
-                        tensorlib_obs::set_thread_context(&format!("w{w:02}"), generation);
-                    }
+                    // Dropped as the closure returns, flushing this worker's
+                    // spans into the caller's recording before the scope
+                    // lets the caller go on.
+                    let _attached = recorder
+                        .as_ref()
+                        .map(|r| r.attach(format!("w{w:02}"), generation));
                     let mut local: Vec<(usize, Vec<U>)> = Vec::new();
                     {
                         let _worker_span = tensorlib_obs::span("par.worker");
@@ -133,14 +135,6 @@ where
                         if profiled {
                             tensorlib_obs::hist_record("par.worker_busy_us", busy_us);
                         }
-                    }
-                    // Scoped threads may outlive the scope's wait (their TLS
-                    // destructors run after the closure returns), so the
-                    // recorder must be flushed here, not left to the Drop
-                    // backstop — otherwise a drain right after this map
-                    // could miss worker spans.
-                    if profiled {
-                        tensorlib_obs::flush_thread();
                     }
                     local
                 })
@@ -383,16 +377,71 @@ mod tests {
     fn profiled_round_robin_matches_unprofiled_results() {
         let items: Vec<u64> = (0..257).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
-        tensorlib_obs::enable();
+        let recording = tensorlib_obs::Recording::start();
         let profiled = par_map_indexed(&items, 4, 5, |_, &x| x * 3 + 1);
-        tensorlib_obs::disable();
+        let session = recording.finish();
         let plain = par_map_indexed(&items, 4, 5, |_, &x| x * 3 + 1);
         assert_eq!(profiled, expect);
         assert_eq!(plain, expect);
-        let session = tensorlib_obs::drain();
         assert!(session.metrics.counters["par.chunks"] >= 52);
         assert_eq!(session.metrics.counters["par.items"], 257);
         assert!(session.spans.iter().any(|s| s.thread == "w00"));
+    }
+
+    /// Two threads recording pools at the same time each get exactly their
+    /// own pool's items and spans, with equal per-recording generations.
+    #[test]
+    fn concurrent_recordings_hold_only_their_own_pools() {
+        let record = |n: u64, name: &'static str| {
+            let items: Vec<u64> = (0..n).collect();
+            let recording = tensorlib_obs::Recording::start();
+            let mine = tensorlib_obs::span(name);
+            let out = par_map_indexed(&items, 4, 3, |_, &x| {
+                let _item = tensorlib_obs::span(name);
+                x + 1
+            });
+            drop(mine);
+            assert_eq!(out, (1..=n).collect::<Vec<_>>());
+            recording.finish()
+        };
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                barrier.wait();
+                record(257, "a")
+            });
+            let b = scope.spawn(|| {
+                barrier.wait();
+                record(1000, "b")
+            });
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (session, items, name) in [(a, 257, "a"), (b, 1000, "b")] {
+            assert_eq!(session.metrics.counters["par.items"], items);
+            assert_eq!(session.metrics.counters["par.pools"], 1);
+            let pool_names = ["par.pool", "par.worker"];
+            assert!(
+                session
+                    .spans
+                    .iter()
+                    .all(|s| s.name == name || pool_names.contains(&s.name.as_str())),
+                "recording {name} holds a foreign span"
+            );
+            let own = session.spans.iter().filter(|s| s.name == name).count() as u64;
+            assert_eq!(own, items + 1, "recording {name}: one span per item plus its own");
+            let mut workers: Vec<&str> = session
+                .spans
+                .iter()
+                .filter(|s| s.name == "par.worker")
+                .map(|s| s.thread.as_str())
+                .collect();
+            workers.sort_unstable();
+            assert_eq!(workers, ["w00", "w01", "w02", "w03"]);
+            for s in &session.spans {
+                let generation = if s.thread == "main" { 0 } else { 1 };
+                assert_eq!(s.generation, generation, "recording {name}: {s:?}");
+            }
+        }
     }
 
     #[test]

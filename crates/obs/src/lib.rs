@@ -9,7 +9,8 @@
 //! Three pieces:
 //!
 //! - **Span tracing** ([`span`]): hierarchical RAII spans over a process-wide
-//!   monotonic clock, kept on thread-local stacks. Exported as Chrome Trace
+//!   monotonic clock, kept on thread-local stacks and collected by a scoped
+//!   [`Recording`]. Exported as Chrome Trace
 //!   Event JSON (loadable in `chrome://tracing` and Perfetto) and as folded
 //!   flamegraph stacks ([`Session::to_chrome_trace`],
 //!   [`Session::to_folded`]).
@@ -33,13 +34,18 @@
 //!   completed runs (key metrics + config hash + machine shape) that backs
 //!   `tensorlib history --check` regression comparisons.
 //!
-//! # Zero cost when disabled
+//! # Scoped recording, zero cost outside one
 //!
-//! Recording is off by default. Every entry point first checks one relaxed
-//! atomic load and returns immediately when disabled — no thread-local
-//! access, no allocation, no clock read. `scripts/perfgate.sh` gates the
-//! disabled-mode overhead of the instrumented pipeline under the same <3%
-//! ceiling used for the hardware trace and fault layers.
+//! Nothing is recorded unless the calling thread holds a [`Recording`]. It
+//! captures only that thread's spans plus those of the worker pools it
+//! starts (`tensorlib_linalg::par` [attaches](Recorder::attach) each worker
+//! to the caller's recorder), so recordings on different threads never mix,
+//! and a nested recording shadows the outer one until it ends. On a thread
+//! that is not recording every hook reads one `const`-initialized
+//! thread-local flag and returns — no allocation, no clock read, no lazy
+//! initialization. `scripts/perfgate.sh` gates that overhead of the
+//! instrumented pipeline under the same <3% ceiling used for the hardware
+//! trace and fault layers.
 //!
 //! # Determinism discipline
 //!
@@ -47,14 +53,16 @@
 //! reproducible *modulo timestamps* for a fixed worker count:
 //!
 //! 1. **Stable thread naming**: worker threads are labelled (`w00`, `w01`,
-//!    …) by pool slot, never by OS thread id ([`set_thread_context`]).
+//!    …) by pool slot, never by OS thread id ([`Recorder::attach`]).
 //! 2. **Deterministic scheduling while profiled**:
 //!    `tensorlib_linalg::par` switches from its atomic work-stealing cursor
-//!    to round-robin chunk assignment when recording is enabled, so the
+//!    to round-robin chunk assignment when the caller is recording, so the
 //!    span→thread assignment stops depending on scheduler timing.
 //! 3. **Sorted emission**: [`Session`] spans are sorted by
 //!    `(thread, pool generation, per-thread sequence number)` — a key that
-//!    contains no timestamps — before export.
+//!    contains no timestamps — before export. Generations and sequence
+//!    numbers count from zero in every recording, so two recordings of the
+//!    same work carry equal values.
 //!
 //! Scrub the `ts`/`dur` fields (see [`Session::scrub_timestamps`]) and two
 //! traces of the same run compare byte-for-byte.
@@ -62,15 +70,15 @@
 //! # Examples
 //!
 //! ```
-//! tensorlib_obs::enable();
+//! let recording = tensorlib_obs::Recording::start();
 //! {
 //!     let _outer = tensorlib_obs::span("enumerate");
 //!     let _inner = tensorlib_obs::span("classify");
 //!     tensorlib_obs::counter_add("designs", 3);
 //!     tensorlib_obs::hist_record("point_us", 120);
 //! }
-//! let session = tensorlib_obs::drain();
-//! tensorlib_obs::disable();
+//! let session = recording.finish();
+//! assert!(!tensorlib_obs::is_recording());
 //! assert_eq!(session.spans.len(), 2);
 //! assert_eq!(session.metrics.counters["designs"], 3);
 //! let trace = session.to_chrome_trace(None);
@@ -98,6 +106,6 @@ pub use manifest::{
 pub use metrics::{Histogram, MetricsSnapshot, HIST_BUCKETS};
 pub use session::{FinishedSpan, Session};
 pub use span::{
-    counter_add, disable, drain, enable, flush_thread, gauge_max, hist_record, is_enabled,
-    set_thread_context, snapshot, span, SpanGuard,
+    counter_add, gauge_max, hist_record, is_recording, snapshot, span, Recorder, Recording,
+    SpanGuard,
 };

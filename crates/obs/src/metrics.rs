@@ -149,12 +149,6 @@ pub(crate) struct LocalMetrics {
     pub hists: BTreeMap<&'static str, Histogram>,
 }
 
-impl LocalMetrics {
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
-    }
-}
-
 /// The merged, worker-count-independent view of all metric shards.
 #[derive(Debug, Default, Clone, PartialEq, Serialize)]
 pub struct MetricsSnapshot {

@@ -16,8 +16,8 @@ pub struct FinishedSpan {
     pub path: String,
     /// Stable thread label (`main`, `w00`, `w01`, …).
     pub thread: String,
-    /// Pool generation stamped by `set_thread_context`; distinguishes
-    /// successive pools reusing the same labels.
+    /// Worker-pool generation within the recording (0 on the recording's
+    /// own thread); distinguishes successive pools reusing the same labels.
     pub generation: u64,
     /// Per-thread open order — part of the deterministic sort key.
     pub seq: u64,
@@ -30,7 +30,8 @@ pub struct FinishedSpan {
 }
 
 /// Everything one recording window captured: sorted spans plus the merged
-/// metrics snapshot. Produced by [`crate::snapshot`] / [`crate::drain`].
+/// metrics snapshot. Produced by [`crate::Recording::finish`] and
+/// [`crate::snapshot`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Session {
     /// Completed spans, sorted by `(thread, generation, seq)` — a key with
@@ -47,26 +48,12 @@ impl Session {
             .sort_by(|a, b| (&a.thread, a.generation, a.seq).cmp(&(&b.thread, b.generation, b.seq)));
     }
 
-    /// Zeroes every `start_us`/`dur_us` and renumbers pool generations
-    /// densely (1, 2, … in first-use order) so two traces of the *same work*
-    /// — whether from one run or from two identical runs in the same process
-    /// — compare byte-for-byte. Raw generation stamps come from a
-    /// process-global counter, so without the renumbering a repeat run would
-    /// differ in its `gen` fields alone; the dense relabelling is
-    /// order-preserving, so the `(thread, generation, seq)` emission order
-    /// is unchanged.
+    /// Zeroes every `start_us`/`dur_us` so two traces of the *same work*
+    /// compare byte-for-byte.
     pub fn scrub_timestamps(&mut self) {
-        let gens: std::collections::BTreeSet<u64> =
-            self.spans.iter().map(|s| s.generation).collect();
-        let dense: BTreeMap<u64, u64> = gens
-            .into_iter()
-            .enumerate()
-            .map(|(i, g)| (g, i as u64 + 1))
-            .collect();
         for s in &mut self.spans {
             s.start_us = 0;
             s.dur_us = 0;
-            s.generation = dense[&s.generation];
         }
     }
 
@@ -148,27 +135,32 @@ impl Session {
         out
     }
 
-    /// Exports folded flamegraph stacks: one `path weight` line per distinct
-    /// span path, weighted by *self* time (inclusive minus direct children),
-    /// sorted by path. Feed to `inferno`/`flamegraph.pl`.
-    pub fn to_folded(&self) -> String {
-        // Inclusive totals per path.
+    /// Self time per distinct span path, sorted by path: the path's
+    /// inclusive time minus the inclusive time of its direct children
+    /// (`a;b` is a direct child of `a`). A path's last segment is its span
+    /// name, so summing by that segment gives per-phase self time.
+    pub fn self_times(&self) -> BTreeMap<&str, u64> {
         let mut inclusive: BTreeMap<&str, u64> = BTreeMap::new();
         for s in &self.spans {
             *inclusive.entry(s.path.as_str()).or_insert(0) += s.dur_us;
         }
-        // Self time = inclusive − direct children's inclusive.
-        let mut out = String::new();
+        let mut self_us = inclusive.clone();
         for (path, total) in &inclusive {
-            let child_total: u64 = inclusive
-                .iter()
-                .filter(|(p, _)| is_direct_child(path, p))
-                .map(|(_, t)| *t)
-                .sum();
-            let self_us = total.saturating_sub(child_total);
-            out.push_str(&format!("{path} {self_us}\n"));
+            if let Some(parent) = path.rsplit_once(';').and_then(|(p, _)| self_us.get_mut(p)) {
+                *parent = parent.saturating_sub(*total);
+            }
         }
-        out
+        self_us
+    }
+
+    /// Exports folded flamegraph stacks: one `path weight` line per distinct
+    /// span path, weighted by [self time](Session::self_times), sorted by
+    /// path. Feed to `inferno`/`flamegraph.pl`.
+    pub fn to_folded(&self) -> String {
+        self.self_times()
+            .into_iter()
+            .map(|(path, self_us)| format!("{path} {self_us}\n"))
+            .collect()
     }
 
     /// Deterministic thread numbering: sorted label → tid starting at 1.
@@ -181,14 +173,6 @@ impl Session {
             .map(|(i, k)| (k.to_string(), i + 1))
             .collect()
     }
-}
-
-/// Whether `child` is `parent` plus exactly one more `;`-separated segment.
-fn is_direct_child(parent: &str, child: &str) -> bool {
-    child
-        .strip_prefix(parent)
-        .and_then(|rest| rest.strip_prefix(';'))
-        .is_some_and(|seg| !seg.is_empty() && !seg.contains(';'))
 }
 
 /// JSON string escape (quotes included).

@@ -1,50 +1,34 @@
-//! The recording core: enable/disable switch, thread-local span stacks and
-//! metric shards, RAII span guards, and the global collector.
+//! The recording core: scoped [`Recording`]s on a per-thread recorder
+//! stack, RAII span guards, and metric shards.
 //!
-//! Hot-path contract: every public entry point checks [`is_enabled`] (one
-//! relaxed atomic load) *before* touching thread-local storage, the clock,
-//! or the allocator. When recording is disabled each call is a branch and a
-//! return.
+//! Hot-path contract: every hook reads one `const`-initialized thread-local
+//! flag *before* touching the recorder stack, the clock, or the allocator.
+//! On a thread that is not recording each call is a branch and a return.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::clock::now_micros;
 use crate::metrics::{LocalMetrics, MetricsSnapshot};
 use crate::session::{FinishedSpan, Session};
 
-/// The global recording switch. Relaxed is enough: we only need the flag
-/// value itself, never ordering against other memory.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Recording-session epoch, bumped on each off→on transition of [`enable`].
-/// Long-lived threads (the main thread in particular) reset their per-thread
-/// sequence counter when they first record in a new session, so a repeat run
-/// in the same process produces the same `seq` values as the first.
-static SESSION_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// Spans and metric shards flushed from finished threads (and from explicit
-/// [`snapshot`]/[`drain`] calls). Only touched on flush — never on the span
-/// hot path.
-static COLLECTOR: Mutex<Collected> = Mutex::new(Collected::new());
-
+/// What one recording has collected, shared by the thread that started it
+/// and every worker attached to it.
+#[derive(Default)]
 struct Collected {
     spans: Vec<FinishedSpan>,
     metrics: MetricsSnapshot,
+    /// Worker pools started so far; the last pool's generation.
+    pools: u64,
 }
 
-impl Collected {
-    const fn new() -> Collected {
-        Collected {
-            spans: Vec::new(),
-            metrics: MetricsSnapshot {
-                counters: std::collections::BTreeMap::new(),
-                gauges: std::collections::BTreeMap::new(),
-                histograms: std::collections::BTreeMap::new(),
-            },
-        }
-    }
+type Sink = Arc<Mutex<Collected>>;
+
+/// Recovers a poisoned lock: every update leaves the telemetry whole, and
+/// the recording's `Drop` must not panic.
+fn lock(sink: &Sink) -> MutexGuard<'_, Collected> {
+    sink.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// A span still on some thread's stack.
@@ -58,164 +42,254 @@ struct OpenSpan {
     depth: u32,
 }
 
-/// Per-thread recording state. Flushed into [`COLLECTOR`] on drop so spans
-/// from scoped worker threads survive the thread's exit.
-struct ThreadBuf {
-    /// Stable label used as the Chrome Trace thread name. Defaults to `main`
-    /// on unnamed threads; worker pools set `w00`, `w01`, … by pool slot.
+/// One thread's buffer for one recording, flushed into its [`Sink`] when
+/// uninstalled.
+struct ThreadRec {
+    sink: Sink,
+    /// Chrome Trace thread name: the thread's name (`main` when unnamed),
+    /// or `w00`, `w01`, … by pool slot for an attached worker.
     label: String,
-    /// Pool generation stamped by [`set_thread_context`]; distinguishes
-    /// successive pools that reuse the same labels.
+    /// Pool generation of an attached worker (0 on the starting thread);
+    /// distinguishes successive pools that reuse the same labels.
     generation: u64,
-    /// [`SESSION_EPOCH`] value `next_seq` belongs to.
-    session: u64,
     next_seq: u64,
     stack: Vec<OpenSpan>,
     done: Vec<FinishedSpan>,
     metrics: LocalMetrics,
 }
 
-impl ThreadBuf {
-    fn new() -> ThreadBuf {
-        let label = std::thread::current()
-            .name()
-            .filter(|n| !n.is_empty())
-            .unwrap_or("main")
-            .to_string();
-        ThreadBuf {
-            label,
-            generation: 0,
-            session: 0,
-            next_seq: 0,
-            stack: Vec::new(),
-            done: Vec::new(),
-            metrics: LocalMetrics::default(),
-        }
-    }
-
-    fn flush_into(&mut self, collected: &mut Collected) {
+impl ThreadRec {
+    fn flush(&mut self) {
+        let mut collected = lock(&self.sink);
         collected.spans.append(&mut self.done);
-        if !self.metrics.is_empty() {
-            collected.metrics.absorb(&self.metrics);
-            self.metrics = LocalMetrics::default();
-        }
-    }
-}
-
-impl Drop for ThreadBuf {
-    fn drop(&mut self) {
-        if self.done.is_empty() && self.metrics.is_empty() {
-            return;
-        }
-        if let Ok(mut collected) = COLLECTOR.lock() {
-            self.flush_into(&mut collected);
-        }
+        collected.metrics.absorb(&std::mem::take(&mut self.metrics));
     }
 }
 
 thread_local! {
-    static BUF: RefCell<ThreadBuf> = RefCell::new(ThreadBuf::new());
+    /// Whether this thread has a recorder installed; every hook reads this
+    /// first, so a thread that is not recording touches nothing else.
+    static RECORDING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's installed recorders, innermost (current) last.
+    static STACK: RefCell<Vec<ThreadRec>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Turns recording on. Until [`disable`], spans and metrics are captured.
-///
-/// Each off→on transition starts a new recording session: per-thread span
-/// sequence numbers restart at 0, so an identical run repeated in the same
-/// process emits an identical (timestamp-scrubbed) trace.
-pub fn enable() {
-    if !ENABLED.swap(true, Ordering::Relaxed) {
-        SESSION_EPOCH.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Turns recording off. Already-captured data stays until [`drain`].
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Whether recording is on — one relaxed atomic load.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Labels the current thread for trace emission and stamps its pool
-/// generation. Worker pools call this once per thread with a slot-stable
-/// label (`w00`, `w01`, …) so traces never depend on OS thread ids.
-pub fn set_thread_context(label: &str, generation: u64) {
-    if !is_enabled() {
-        return;
-    }
-    BUF.with(|buf| {
-        let mut b = buf.borrow_mut();
-        b.label = label.to_string();
-        b.generation = generation;
+/// Installs a recorder delivering to `sink` as the thread's current one.
+fn install(sink: Sink, label: String, generation: u64) -> Recording {
+    let level = STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        stack.push(ThreadRec {
+            sink,
+            label,
+            generation,
+            next_seq: 0,
+            stack: Vec::new(),
+            done: Vec::new(),
+            metrics: LocalMetrics::default(),
+        });
+        stack.len()
     });
+    RECORDING.set(true);
+    Recording {
+        level,
+        _thread: PhantomData,
+    }
+}
+
+/// Removes the recorder installed at stack `level` (and any left above it),
+/// reinstating the one below. `None` when it is already gone.
+fn uninstall(level: usize) -> Option<ThreadRec> {
+    STACK
+        .try_with(|stack| {
+            let mut stack = stack.borrow_mut();
+            if stack.len() < level {
+                return None;
+            }
+            stack.truncate(level);
+            let rec = stack.pop();
+            RECORDING.set(!stack.is_empty());
+            rec
+        })
+        .ok()
+        .flatten()
+}
+
+/// Runs `f` on the calling thread's current recorder, if any.
+fn with_current<R>(f: impl FnOnce(&mut ThreadRec) -> R) -> Option<R> {
+    STACK.with(|stack| stack.borrow_mut().last_mut().map(f))
+}
+
+/// Whether the calling thread is recording — one thread-local read.
+#[inline]
+pub fn is_recording() -> bool {
+    RECORDING.get()
+}
+
+/// A scoped recording, installed as the calling thread's current recorder.
+///
+/// [`Recording::start`] installs a fresh collector; [`Recording::finish`]
+/// uninstalls it and returns what it captured. Either way whatever was
+/// installed before comes back, so a nested recording shadows the outer one
+/// until it ends. Dropping a started recording unfinished discards its data
+/// (an early `?` return needs no cleanup). Other threads record into it
+/// only while [attached](Recorder::attach), and the same drop is what
+/// delivers an attached worker's spans and metrics.
+#[must_use = "a recording captures until it is finished or dropped"]
+pub struct Recording {
+    level: usize,
+    /// Tied to the thread whose recorder stack it sits on.
+    _thread: PhantomData<*const ()>,
+}
+
+impl Recording {
+    /// Starts recording on the calling thread, labelled by the thread's name
+    /// (`main` when unnamed). Sequence numbers and pool generations count
+    /// from zero, so two recordings of the same work get equal values.
+    pub fn start() -> Recording {
+        let thread = std::thread::current();
+        let label = thread.name().filter(|n| !n.is_empty()).unwrap_or("main");
+        install(Sink::default(), label.to_string(), 0)
+    }
+
+    /// Ends the recording this thread started and returns what it captured,
+    /// in the deterministic [`Session`] order. Spans still open are dropped.
+    pub fn finish(self) -> Session {
+        let Some(mut rec) = uninstall(self.level) else {
+            return Session::default();
+        };
+        rec.flush();
+        let collected = std::mem::take(&mut *lock(&rec.sink));
+        let mut session = Session {
+            spans: collected.spans,
+            metrics: collected.metrics,
+        };
+        session.sort();
+        session
+    }
+}
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        if let Some(mut rec) = uninstall(self.level) {
+            rec.flush();
+        }
+    }
+}
+
+/// A handle on a thread's current recording that worker threads attach to.
+#[derive(Clone)]
+pub struct Recorder {
+    sink: Sink,
+}
+
+impl Recorder {
+    /// The calling thread's current recorder; `None` when not recording.
+    pub fn current() -> Option<Recorder> {
+        with_current(|rec| Recorder {
+            sink: rec.sink.clone(),
+        })
+    }
+
+    /// Numbers the next worker pool of this recording: 1, 2, … in start order.
+    pub fn next_generation(&self) -> u64 {
+        let mut collected = lock(&self.sink);
+        collected.pools += 1;
+        collected.pools
+    }
+
+    /// Makes this recorder the calling thread's current one, labelling its
+    /// spans `label` (a pool slot like `w00`, never an OS thread id) and
+    /// `generation`. Dropping the returned guard flushes the thread's spans
+    /// and metrics into the recording, so a scoped worker holds it until its
+    /// closure returns.
+    pub fn attach(&self, label: String, generation: u64) -> Recording {
+        install(self.sink.clone(), label, generation)
+    }
+}
+
+/// Copies what the calling thread's current recording holds so far — its
+/// own finished spans plus everything attached workers have flushed —
+/// without ending it. `None` when the thread is not recording.
+pub fn snapshot() -> Option<Session> {
+    with_current(|rec| {
+        let collected = lock(&rec.sink);
+        let mut session = Session {
+            spans: collected.spans.iter().chain(&rec.done).cloned().collect(),
+            metrics: collected.metrics.clone(),
+        };
+        session.metrics.absorb(&rec.metrics);
+        session.sort();
+        session
+    })
 }
 
 /// RAII guard for one span: opened by [`span`], closed (and recorded) when
-/// dropped. Nothing is recorded if recording was off when the span opened.
+/// dropped. Nothing is recorded if the thread was not recording when the
+/// span opened.
 #[must_use = "a span measures the scope it lives in; bind it to a variable"]
 pub struct SpanGuard {
-    armed: bool,
+    /// Stack level of the recorder the span opened on; 0 when inert.
+    level: usize,
 }
 
 /// Opens a hierarchical span named `name` on this thread's stack.
 ///
-/// The returned guard records the span on drop. When recording is disabled
-/// this is one atomic load and an inert guard.
+/// The returned guard records the span on drop. On a thread that is not
+/// recording this is one thread-local read and an inert guard.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !is_enabled() {
-        return SpanGuard { armed: false };
+    if !is_recording() {
+        return SpanGuard { level: 0 };
     }
     let start_us = now_micros();
-    BUF.with(|buf| {
-        let mut b = buf.borrow_mut();
-        let epoch = SESSION_EPOCH.load(Ordering::Relaxed);
-        if b.session != epoch {
-            b.session = epoch;
-            b.next_seq = 0;
-        }
-        let path = match b.stack.last() {
+    STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        let level = stack.len();
+        let Some(rec) = stack.last_mut() else {
+            return SpanGuard { level: 0 };
+        };
+        let path = match rec.stack.last() {
             Some(parent) => format!("{};{}", parent.path, name),
             None => name.to_string(),
         };
-        let seq = b.next_seq;
-        b.next_seq += 1;
-        let depth = b.stack.len() as u32;
-        b.stack.push(OpenSpan {
+        rec.stack.push(OpenSpan {
             name,
             path,
             start_us,
-            seq,
-            depth,
+            seq: rec.next_seq,
+            depth: rec.stack.len() as u32,
         });
-    });
-    SpanGuard { armed: true }
+        rec.next_seq += 1;
+        SpanGuard { level }
+    })
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.armed {
+        if self.level == 0 {
             return;
         }
         let end_us = now_micros();
         // try_with: survive TLS teardown if a guard outlives the buffer.
-        let _ = BUF.try_with(|buf| {
-            let mut b = buf.borrow_mut();
-            let Some(open) = b.stack.pop() else { return };
-            let finished = FinishedSpan {
+        let _ = STACK.try_with(|stack| {
+            let mut stack = stack.borrow_mut();
+            // A span closes into the recorder it opened on, never into one
+            // installed after it or into the one restored once it ended.
+            if stack.len() != self.level {
+                return;
+            }
+            let Some(rec) = stack.last_mut() else { return };
+            let Some(open) = rec.stack.pop() else { return };
+            rec.done.push(FinishedSpan {
                 name: open.name.to_string(),
                 path: open.path,
-                thread: b.label.clone(),
-                generation: b.generation,
+                thread: rec.label.clone(),
+                generation: rec.generation,
                 seq: open.seq,
                 depth: open.depth,
                 start_us: open.start_us,
                 dur_us: end_us.saturating_sub(open.start_us),
-            };
-            b.done.push(finished);
+            });
         });
     }
 }
@@ -223,23 +297,20 @@ impl Drop for SpanGuard {
 /// Adds `delta` to the counter `name` (thread-local; merged by sum).
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
-    if !is_enabled() {
+    if !is_recording() {
         return;
     }
-    BUF.with(|buf| {
-        *buf.borrow_mut().metrics.counters.entry(name).or_insert(0) += delta;
-    });
+    with_current(|rec| *rec.metrics.counters.entry(name).or_insert(0) += delta);
 }
 
 /// Raises the high-watermark gauge `name` to at least `value` (merged by max).
 #[inline]
 pub fn gauge_max(name: &'static str, value: u64) {
-    if !is_enabled() {
+    if !is_recording() {
         return;
     }
-    BUF.with(|buf| {
-        let mut b = buf.borrow_mut();
-        let e = b.metrics.gauges.entry(name).or_insert(0);
+    with_current(|rec| {
+        let e = rec.metrics.gauges.entry(name).or_insert(0);
         *e = (*e).max(value);
     });
 }
@@ -247,12 +318,11 @@ pub fn gauge_max(name: &'static str, value: u64) {
 /// Records `value` into the log2-bucketed histogram `name`.
 #[inline]
 pub fn hist_record(name: &'static str, value: u64) {
-    if !is_enabled() {
+    if !is_recording() {
         return;
     }
-    BUF.with(|buf| {
-        buf.borrow_mut()
-            .metrics
+    with_current(|rec| {
+        rec.metrics
             .hists
             .entry(name)
             .or_insert_with(crate::metrics::Histogram::new)
@@ -260,91 +330,37 @@ pub fn hist_record(name: &'static str, value: u64) {
     });
 }
 
-/// Flushes the current thread's finished spans and metric shard into the
-/// global collector.
-///
-/// Worker threads MUST call this before returning from their closure when
-/// they run under [`std::thread::scope`]: the scope waits for closures to
-/// *finish*, not for the threads to fully exit, so the TLS-destructor
-/// backstop flush can land after the spawning thread has already resumed —
-/// and after it drained. (Plain [`std::thread::JoinHandle::join`] does wait
-/// for thread exit, so joined threads may rely on the backstop.) No-op when
-/// the thread has recorded nothing.
-pub fn flush_thread() {
-    BUF.with(|buf| {
-        let mut b = buf.borrow_mut();
-        if b.done.is_empty() && b.metrics.is_empty() {
-            return;
-        }
-        if let Ok(mut collected) = COLLECTOR.lock() {
-            b.flush_into(&mut collected);
-        }
-    });
-}
-
-/// Collects everything recorded so far into a [`Session`] without clearing.
-///
-/// Flushes the calling thread's buffer first; worker threads flush via
-/// [`flush_thread`] before their closure returns (scoped pools), or via the
-/// TLS-destructor backstop when fully joined.
-pub fn snapshot() -> Session {
-    let mut collected = COLLECTOR.lock().expect("obs collector poisoned");
-    BUF.with(|buf| buf.borrow_mut().flush_into(&mut collected));
-    let mut session = Session {
-        spans: collected.spans.clone(),
-        metrics: collected.metrics.clone(),
-    };
-    session.sort();
-    session
-}
-
-/// Collects everything recorded so far and clears the recorder.
-pub fn drain() -> Session {
-    let mut collected = COLLECTOR.lock().expect("obs collector poisoned");
-    BUF.with(|buf| buf.borrow_mut().flush_into(&mut collected));
-    let mut session = Session {
-        spans: std::mem::take(&mut collected.spans),
-        metrics: std::mem::take(&mut collected.metrics),
-    };
-    session.sort();
-    session
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Span/metric tests share the process-global recorder; serialize them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     #[test]
-    fn disabled_recording_captures_nothing() {
-        let _x = exclusive();
-        disable();
-        let _ = drain();
-        {
-            let _s = span("ignored");
-            counter_add("ignored", 1);
-            hist_record("ignored", 7);
-            gauge_max("ignored", 9);
-        }
-        let session = drain();
+    fn hooks_outside_a_recording_capture_nothing() {
+        let recording = Recording::start();
+        // A fresh thread inherits nothing: it is not recording.
+        std::thread::spawn(|| {
+            assert!(!is_recording());
+            {
+                let _s = span("ignored");
+                counter_add("ignored", 1);
+                hist_record("ignored", 7);
+                gauge_max("ignored", 9);
+            }
+            assert!(snapshot().is_none());
+        })
+        .join()
+        .unwrap();
+        let session = recording.finish();
         assert!(session.spans.is_empty());
         assert!(session.metrics.counters.is_empty());
         assert!(session.metrics.histograms.is_empty());
         assert!(session.metrics.gauges.is_empty());
+        assert!(!is_recording());
     }
 
     #[test]
     fn nested_spans_record_paths_and_depths() {
-        let _x = exclusive();
-        disable();
-        let _ = drain();
-        enable();
+        let recording = Recording::start();
         {
             let _a = span("outer");
             {
@@ -352,8 +368,7 @@ mod tests {
             }
             let _c = span("sibling");
         }
-        disable();
-        let session = drain();
+        let session = recording.finish();
         assert_eq!(session.spans.len(), 3);
         let by_name = |n: &str| session.spans.iter().find(|s| s.name == n).unwrap();
         assert_eq!(by_name("outer").path, "outer");
@@ -361,6 +376,11 @@ mod tests {
         assert_eq!(by_name("inner").path, "outer;inner");
         assert_eq!(by_name("inner").depth, 1);
         assert_eq!(by_name("sibling").path, "outer;sibling");
+        assert_eq!(
+            session.spans.iter().map(|s| s.seq).collect::<Vec<_>>(),
+            [0, 1, 2],
+            "sequence numbers count from zero in every recording"
+        );
         // Ends are ordered: inner closed before outer.
         let outer = by_name("outer");
         let inner = by_name("inner");
@@ -369,70 +389,72 @@ mod tests {
     }
 
     #[test]
-    fn scoped_worker_spans_land_via_explicit_flush() {
-        let _x = exclusive();
-        disable();
-        let _ = drain();
-        enable();
+    fn attached_workers_flush_before_their_closure_returns() {
+        let recording = Recording::start();
+        let recorder = Recorder::current().unwrap();
+        let generation = recorder.next_generation();
+        assert_eq!(generation, 1, "pool generations count per recording");
         std::thread::scope(|scope| {
             for slot in 0..2u64 {
+                let recorder = &recorder;
                 scope.spawn(move || {
-                    set_thread_context(&format!("w{slot:02}"), 7);
-                    {
-                        let _s = span("work");
-                        counter_add("jobs", 1);
-                    }
-                    flush_thread();
+                    let _attached = recorder.attach(format!("w{slot:02}"), generation);
+                    let _s = span("work");
+                    counter_add("jobs", 1);
                 });
             }
         });
-        disable();
-        let session = drain();
+        let session = recording.finish();
         assert_eq!(session.spans.len(), 2);
         let mut threads: Vec<&str> = session.spans.iter().map(|s| s.thread.as_str()).collect();
         threads.sort_unstable();
         assert_eq!(threads, ["w00", "w01"]);
-        assert!(session.spans.iter().all(|s| s.generation == 7));
+        assert!(session.spans.iter().all(|s| s.generation == 1));
         assert_eq!(session.metrics.counters["jobs"], 2);
     }
 
     #[test]
-    fn joined_thread_spans_flush_on_thread_exit() {
-        let _x = exclusive();
-        disable();
-        let _ = drain();
-        enable();
-        // A plain join() waits for full thread exit, including the
-        // TLS-destructor backstop flush — no explicit flush needed.
-        std::thread::spawn(|| {
-            set_thread_context("w00", 3);
-            let _s = span("work");
-        })
-        .join()
-        .unwrap();
-        disable();
-        let session = drain();
-        assert_eq!(session.spans.len(), 1);
-        assert_eq!(session.spans[0].thread, "w00");
-        assert_eq!(session.spans[0].generation, 3);
+    fn nested_recording_shadows_and_restores_the_outer_one() {
+        let outer = Recording::start();
+        let before = span("outer.before");
+        counter_add("outer", 1);
+        {
+            let inner = Recording::start();
+            {
+                let _b = span("inner");
+                counter_add("inner", 1);
+            }
+            let session = inner.finish();
+            assert_eq!(session.spans.len(), 1);
+            assert_eq!(session.spans[0].name, "inner");
+            assert!(!session.metrics.counters.contains_key("outer"));
+        }
+        {
+            // Dropped unfinished: discarded, and the outer one is back.
+            let _abandoned = Recording::start();
+            let _c = span("abandoned");
+        }
+        assert!(is_recording());
+        drop(before);
+        let so_far = snapshot().unwrap();
+        assert_eq!(so_far.spans.len(), 1, "snapshot sees this thread's spans");
+        let session = outer.finish();
+        let names: Vec<&str> = session.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["outer.before"]);
+        assert_eq!(session.metrics.counters.len(), 1);
+        assert_eq!(session.metrics.counters["outer"], 1);
+        assert!(!is_recording());
     }
 
     #[test]
-    fn drain_clears_and_snapshot_preserves() {
-        let _x = exclusive();
-        disable();
-        let _ = drain();
-        enable();
+    fn snapshot_preserves_and_finish_returns_everything() {
+        let recording = Recording::start();
         {
             let _s = span("once");
         }
-        let snap = snapshot();
-        assert_eq!(snap.spans.len(), 1);
-        let snap2 = snapshot();
-        assert_eq!(snap2.spans.len(), 1, "snapshot must not clear");
-        let drained = drain();
-        disable();
-        assert_eq!(drained.spans.len(), 1);
-        assert!(drain().spans.is_empty(), "drain must clear");
+        assert_eq!(snapshot().unwrap().spans.len(), 1);
+        assert_eq!(snapshot().unwrap().spans.len(), 1, "snapshot clears nothing");
+        assert_eq!(recording.finish().spans.len(), 1);
+        assert!(snapshot().is_none());
     }
 }

@@ -15,14 +15,10 @@ cargo test -q
 # The functional executor's full pinned grid (about 14.5k designs; the
 # debug subset above runs in every `cargo test`).
 cargo test --release -q --test functional_equivalence -- --ignored
-# Unit tests of the campaign crates (journal torn-tail and config drift, the
-# interrupt latch model, durable resume, explore). Not yet --workspace: the
-# tensorlib-linalg recorder test is flaky under parallel test threads.
-cargo test -q -p tensorlib-sim -p tensorlib
-# Unit tests of the JSON stack and the telemetry crate: the derived codec,
-# the parser's surrogate/overflow/2^53 pins, and the status/history byte
-# pins.
-cargo test -q -p serde -p serde_derive -p serde_json -p tensorlib-obs
+# Every crate's unit tests and doctests (journal torn-tail and config drift,
+# the interrupt latch model, durable resume, the derived JSON codec, the
+# recorder, the opt invariants, the interpreter, …).
+cargo test -q --workspace
 cargo clippy -q --all-targets -- -D warnings
 
 # Observability battery (all are part of `cargo test` above; re-run by name).

@@ -9,17 +9,14 @@
 //! - the exported trace is well-formed Chrome Trace Event JSON covering the
 //!   pipeline phases, and it round-trips through the crate's own parser.
 //!
-//! The recording switch is process-global, so every test here serializes on
-//! [`OBS_LOCK`].
-
-use std::sync::Mutex;
+//! Each test records on its own thread with a scoped
+//! [`tensorlib_obs::Recording`], which sees only that thread's spans and
+//! those of the worker pools it starts, so the tests run in parallel.
 
 use tensorlib::explore::{explore_outcome, ExploreOptions};
 use tensorlib::ir::workloads;
+use tensorlib_obs::Recording;
 use serde::value::{self, Value};
-
-/// Serializes tests that flip the process-global recording switch.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn opts(workers: usize) -> ExploreOptions {
     ExploreOptions {
@@ -43,16 +40,13 @@ fn outcome_json(kernel: &tensorlib::Kernel, options: &ExploreOptions) -> String 
 
 #[test]
 fn explore_results_identical_with_tracing_on_and_off() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    tensorlib_obs::disable();
     let kernel = workloads::gemm(4, 4, 4);
     for workers in [1, 4] {
         let plain = outcome_json(&kernel, &opts(workers));
 
-        tensorlib_obs::enable();
+        let recording = Recording::start();
         let profiled = outcome_json(&kernel, &opts(workers));
-        let session = tensorlib_obs::drain();
-        tensorlib_obs::disable();
+        let session = recording.finish();
 
         assert_eq!(
             plain, profiled,
@@ -67,15 +61,12 @@ fn explore_results_identical_with_tracing_on_and_off() {
 
 #[test]
 fn profiled_runs_are_byte_identical_modulo_timestamps() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    tensorlib_obs::disable();
     let kernel = workloads::gemm(4, 4, 4);
     let mut traces = Vec::new();
     for _ in 0..2 {
-        tensorlib_obs::enable();
+        let recording = Recording::start();
         let outcome = explore_outcome(&kernel, &opts(3));
-        let mut session = tensorlib_obs::drain();
-        tensorlib_obs::disable();
+        let mut session = recording.finish();
         assert!(!outcome.points.is_empty());
         session.scrub_timestamps();
         traces.push((session.to_chrome_trace(None), session.to_folded()));
@@ -91,12 +82,9 @@ fn profiled_runs_are_byte_identical_modulo_timestamps() {
 
 #[test]
 fn sweep_trace_is_well_formed_and_covers_the_pipeline() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    tensorlib_obs::disable();
-    tensorlib_obs::enable();
+    let recording = Recording::start();
     let outcome = explore_outcome(&workloads::gemm(4, 4, 4), &opts(2));
-    let session = tensorlib_obs::drain();
-    tensorlib_obs::disable();
+    let session = recording.finish();
     assert!(!outcome.points.is_empty());
 
     let trace = session.to_chrome_trace(None);
@@ -147,40 +135,57 @@ fn sweep_trace_is_well_formed_and_covers_the_pipeline() {
     );
 }
 
-/// `tensorlib profile` lists phases heaviest first, so the default `--top`
-/// keeps the phase that dominates a verified sweep (`sim.functional`) and
-/// says how many lighter phases it left out.
+/// `tensorlib profile` lists phases heaviest self time first, so the
+/// default `--top` keeps the phase that dominates a verified sweep
+/// (`sim.functional`) and says how many lighter phases it left out; a
+/// parent phase's self time excludes its children.
 #[test]
 fn profile_table_keeps_the_dominant_phase_at_the_default_top() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let dir = std::env::temp_dir().join(format!("tl_it_profile_top_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let trace = dir.join("p.trace.json");
-    let args: Vec<String> = ["profile", "gemm:8,8,8", "-o", trace.to_str().unwrap()]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let out = tensorlib_cli::run(tensorlib_cli::parse_args(&args).unwrap()).unwrap();
-    let rows: Vec<(&str, u64)> = out
-        .lines()
-        .skip_while(|l| !l.starts_with("phase "))
-        .skip(1)
-        .take_while(|l| !l.starts_with("counter ") && !l.starts_with('…'))
-        .map(|l| {
-            let cols: Vec<&str> = l.split_whitespace().collect();
-            (cols[0], cols[2].parse().unwrap())
-        })
-        .collect();
+    let profile = |extra: &[&str]| {
+        let mut args = vec!["profile", "gemm:8,8,8", "-o", trace.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        tensorlib_cli::run(tensorlib_cli::parse_args(&args).unwrap()).unwrap()
+    };
+    // (phase, self_us, total_us) per table row.
+    let rows_of = |out: &str| -> Vec<(String, u64, u64)> {
+        out.lines()
+            .skip_while(|l| !l.starts_with("phase "))
+            .skip(1)
+            .take_while(|l| !l.starts_with("counter ") && !l.starts_with('…'))
+            .map(|l| {
+                let cols: Vec<&str> = l.split_whitespace().collect();
+                (
+                    cols[0].to_string(),
+                    cols[2].parse().unwrap(),
+                    cols[3].parse().unwrap(),
+                )
+            })
+            .collect()
+    };
+    let out = profile(&[]);
+    let rows = rows_of(&out);
     assert!(
-        rows.iter().any(|(name, _)| *name == "sim.functional"),
+        rows.iter().any(|(name, _, _)| name == "sim.functional"),
         "no sim.functional row:\n{out}"
     );
     assert!(
         rows.windows(2).all(|w| w[0].1 >= w[1].1),
-        "phases not sorted by total time:\n{out}"
+        "phases not sorted by self time:\n{out}"
     );
     assert_eq!(rows.len(), 10, "default --top is 10:\n{out}");
     assert!(out.contains("… and "), "truncation not reported:\n{out}");
+
+    let out = profile(&["--top", "100"]);
+    let rows = rows_of(&out);
+    let explore = rows.iter().find(|(name, _, _)| name == "explore");
+    assert!(
+        explore.is_some_and(|(_, self_us, total_us)| self_us < total_us),
+        "explore's self time is not below its total:\n{out}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
